@@ -15,6 +15,12 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def check_trials(trials: int) -> None:
+    """Refuse a Monte Carlo run too small to give a sample standard error."""
+    if trials < 2:
+        raise ValueError(f"a Monte Carlo standard error needs at least 2 trials, got {trials}")
+
+
 def as_generator(seed_or_rng) -> np.random.Generator:
     """Accept either an integer seed or an existing Generator."""
     if isinstance(seed_or_rng, np.random.Generator):

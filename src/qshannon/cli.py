@@ -195,8 +195,10 @@ def run_decouple(params, seed, trials, tol):
     if not dims or "A1" not in dims or "A2" not in dims:
         raise UsageError("decouple needs params.dims with A1 and A2")
     d1, d2 = int(dims["A1"]), int(dims["A2"])
-    da = d1 * d2
     de = int(params.get("e_dim", 1))
+    if min(d1, d2, de) < 1:
+        raise UsageError(f"decouple needs A1, A2 and e_dim >= 1, got {d1}, {d2}, {de}")
+    da = d1 * d2
     if de > 1:
         from ._rng import stream
         sigma = dec.random_sigma_ae(da, de, stream(seed if seed is not None else 7, 0))

@@ -4,8 +4,11 @@ block compression of quantum sources, and entanglement concentration.
 
 Exhaustive quantities are computed exactly by enumerating sequence type
 classes (compositions) with multinomial weights, which keeps the census and
-the quantum-compression numbers exact far beyond naive enumeration.  Hard
-enumeration caps trigger clear errors instead of silent sampling.
+the quantum-compression numbers exact far beyond naive enumeration.  The
+Schumacher fidelity and Ky Fan bound never enumerate sequences: they sum
+over type classes, with dynamic programs over partial count vectors, so
+their cost is polynomial in the block length n.  Hard enumeration caps
+trigger clear errors instead of silent sampling.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .linalg import DensityOperator, eig_hermitian
 CENSUS_CAP = 2 ** 24
 QUANTUM_CAP = 2 ** 14
 CODEWORD_CAP = 2 ** 14
+BINOMIAL_CAP = 2 ** 63      # numpy's binomial sampler takes an int64 count
 
 
 class EnumerationCapError(ValueError):
@@ -52,18 +56,6 @@ class SimReport:
     op: str = ""
     params: dict = field(default_factory=dict)
     seed: Optional[int] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "op": self.op,
-            "params": self.params,
-            "success_prob": self.success_prob,
-            "rate": self.rate,
-            "fidelity": self.fidelity,
-            "trials": self.trials,
-            "mc_stderr": self.mc_stderr,
-            "seed": self.seed,
-        }
 
 
 def _bernoulli_stderr(p_hat: float, trials: int) -> float:
@@ -183,57 +175,66 @@ def slepian_wolf_sim(pxy, n: int, rate: float, trials: int, seed: int,
     flat = pxy.reshape(-1)
     log_pxy = np.where(flat > 0, np.log2(np.where(flat > 0, flat, 1.0)), -np.inf)
     log_px = np.where(px > 0, np.log2(np.where(px > 0, px, 1.0)), -np.inf)
+    log_py = np.where(py > 0, np.log2(np.where(py > 0, py, 1.0)), -np.inf)
     # conditional log-likelihood log2 p(x|y) per joint cell
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_cond = log_pxy.reshape(dx, dy) - np.where(py > 0, np.log2(
-            np.where(py > 0, py, 1.0)), -np.inf)[None, :]
+        log_cond = log_pxy.reshape(dx, dy) - log_py[None, :]
+    finite_cond = np.where(np.isfinite(log_cond), log_cond, 0.0)
 
     def jointly_typical(joint_counts: np.ndarray) -> bool:
         # three two-sided conditions: on p(x), p(y), and p(x, y)
         cx = joint_counts.sum(axis=1)
         cy = joint_counts.sum(axis=0)
-        for counts, logp, h in ((cx, log_px, hx),
-                                (cy, np.where(py > 0, np.log2(np.where(py > 0, py, 1.0)), -np.inf), hy),
+        for counts, logp, h in ((cx, log_px, hx), (cy, log_py, hy),
                                 (joint_counts.reshape(-1), log_pxy, hxy)):
-            rate_ = _type_rate(counts, np.asarray(logp))
+            rate_ = _type_rate(counts, logp)
             if not (h - delta <= rate_ <= h + delta):
                 return False
         return True
+
+    competitors: dict[tuple[int, ...], list[tuple[np.ndarray, int, float]]] = {}
+
+    def competitor_types(cy: np.ndarray) -> list[tuple[np.ndarray, int, float]]:
+        """(joint counts, class size, log-likelihood) of every jointly typical
+        joint type with y-composition cy that the decoder can choose, in
+        enumeration order; computed once per y-composition."""
+        key = tuple(int(c) for c in cy)
+        if key not in competitors:
+            found = []
+            per_y_comps = [list(_compositions(c, dx)) for c in key]
+            for combo in itertools.product(*per_y_comps):
+                comp_counts = np.array(combo, dtype=int).T  # (dx, dy)
+                if not jointly_typical(comp_counts):
+                    continue
+                if np.any(comp_counts[~np.isfinite(log_cond)] > 0):
+                    continue  # zero conditional probability: never chosen
+                size = math.prod(_multinomial(c) for c in combo)
+                found.append((comp_counts, size, float(np.sum(comp_counts * finite_cond))))
+            competitors[key] = found
+        return competitors[key]
 
     errors = 0
     for t in range(trials):
         rng = stream(seed, t)
         joint = rng.multinomial(n, flat).reshape(dx, dy)
-        cy = joint.sum(axis=0)
         own_typical = jointly_typical(joint)
-        own_ll = float(np.sum(joint * np.where(np.isfinite(log_cond), log_cond, 0.0)))
+        own_ll = float(np.sum(joint * finite_cond))
         if np.any(joint[~np.isfinite(log_cond)] > 0):
             own_ll = -math.inf
 
-        # enumerate competitor joint types with the same y-composition
         better = 0      # typical competitors with strictly higher likelihood
         equal = 0       # typical competitors tying the true sequence
-        any_typical = 0
-        per_y_comps = [list(_compositions(int(cy[y]), dx)) for y in range(dy)]
-        for combo in itertools.product(*per_y_comps):
-            comp_counts = np.array(combo, dtype=int).T  # (dx, dy)
-            if not jointly_typical(comp_counts):
-                continue
-            size = 1
-            for y in range(dy):
-                size *= _multinomial(combo[y])
+        for comp_counts, size, ll in competitor_types(joint.sum(axis=0)):
             if np.array_equal(comp_counts, joint):
                 size -= 1  # exclude the true sequence itself
             if size <= 0:
                 continue
-            ll = float(np.sum(comp_counts * np.where(np.isfinite(log_cond), log_cond, 0.0)))
-            if np.any(comp_counts[~np.isfinite(log_cond)] > 0):
-                continue  # zero conditional probability: never chosen
+            if size >= BINOMIAL_CAP:
+                raise EnumerationCapError(
+                    f"a joint type class of {size} sequences exceeds the binomial "
+                    f"sampler's cap 2^63 (n = {n})")
             k = rng.binomial(size, 1.0 / nbins)
-            if k == 0:
-                continue
-            any_typical += k
-            if not own_typical:
+            if k == 0 or not own_typical:
                 continue
             if ll > own_ll + 1e-12:
                 better += k
@@ -333,12 +334,12 @@ def schumacher_projector(rho: DensityOperator, spec: TypicalitySpec,
 
 def _typical_mask(sub: TypicalSubspace, d: int) -> np.ndarray:
     """Boolean mask over all d^n eigen-index sequences, True when typical."""
+    digits = (np.arange(d ** sub.n)[:, None] // d ** np.arange(sub.n)) % d
+    counts = (digits[:, :, None] == np.arange(d)).sum(axis=1)  # letter counts per sequence
+    types, inverse = np.unique(counts, axis=0, return_inverse=True)
     typical_types = {t for t, _ in sub.typical_types}
-    mask = np.zeros(d ** sub.n, dtype=bool)
-    for idx, seq in enumerate(itertools.product(range(d), repeat=sub.n)):
-        counts = tuple(seq.count(a) for a in range(d))
-        mask[idx] = counts in typical_types
-    return mask
+    is_typical_type = np.array([tuple(t) in typical_types for t in types.tolist()])
+    return is_typical_type[inverse.reshape(-1)]
 
 
 def _materialize_projector(sub: TypicalSubspace, d: int) -> np.ndarray:
@@ -351,9 +352,12 @@ def _materialize_projector(sub: TypicalSubspace, d: int) -> np.ndarray:
     return cols @ cols.conj().T
 
 
-def _rank_limited_subspace(rho: DensityOperator, n: int, max_dim: int) -> TypicalSubspace:
+def _rank_limited_subspace(rho: DensityOperator, n: int,
+                           max_dim: int) -> tuple[TypicalSubspace, float]:
     """Subspace of the largest product eigenvalues, grown whole type classes
-    at a time while staying within max_dim basis vectors."""
+    at a time while staying within max_dim basis vectors, together with the
+    Ky Fan sum of the max_dim largest eigenvalues of rho^(tensor n): the
+    retained weight plus the part of the next class that fills max_dim."""
     d = rho.dim
     vals, vecs = eig_hermitian(rho.matrix)
     vals = np.clip(vals, 0.0, None)
@@ -370,11 +374,31 @@ def _rank_limited_subspace(rho: DensityOperator, n: int, max_dim: int) -> Typica
     weight = 0.0
     for counts, lg, m in classes:
         if dim + m > max_dim:
+            ky_fan = weight + (max_dim - dim) * 2.0 ** lg
             break
         chosen.append((counts, lg))
         dim += m
         weight += m * 2.0 ** lg
-    return TypicalSubspace(dim, weight, chosen, vals, vecs, n)
+    else:
+        ky_fan = weight
+    return TypicalSubspace(dim, weight, chosen, vals, vecs, n), ky_fan
+
+
+def _count_dp(steps: Sequence[Sequence[float]], width: int) -> dict[tuple[int, ...], float]:
+    """Sum over all index sequences (k_1..k_L), k_i in range(width), of
+    prod_i steps[i][k_i], grouped by the count vector of the indices.
+
+    The states are partial count vectors, so the cost is
+    O(L * width * C(L + width - 1, width - 1)) rather than width^L."""
+    table = {(0,) * width: 1.0}
+    for weights in steps:
+        new = {}
+        for key, amp in table.items():
+            for k, wk in enumerate(weights):
+                nk = key[:k] + (key[k] + 1,) + key[k + 1:]
+                new[nk] = new.get(nk, 0.0) + amp * wk
+        table = new
+    return table
 
 
 @dataclass
@@ -394,7 +418,17 @@ def schumacher_sim(ensemble, n: int, spec: Optional[TypicalitySpec] = None,
     Each block is projected onto the retained subspace; on failure the most
     likely retained product eigenstate is substituted.  Pass `spec` for the
     delta-typical subspace or `rate` (qubits per letter) for a rank-limited
-    subspace of at most 2^{n rate} dimensions."""
+    subspace of at most 2^{n rate} dimensions.
+
+    With m letters in a d-dimensional space the fidelity is summed over the
+    C(n+m-1, m-1) letter types, never over the m^n messages:
+
+        F = sum_c multinom(c) prod_x p_x^{c_x} w(c)^2 + sum_c (1 - w(c)) G(c),
+
+    where w(c) is the probability that a product state of type c projects
+    into the subspace and G(c) sums p(x^n) |<junk|x^n>|^2 over the messages
+    of type c.  Both come from dynamic programs over count vectors, so the
+    cost is O(n d C(n+d-1, d-1) C(n+m-1, m-1)), polynomial in n."""
     probs = validate_prob_dist([p for p, _ in ensemble])
     states = [np.asarray(v, dtype=complex).reshape(-1) for _, v in ensemble]
     d = states[0].size
@@ -411,12 +445,7 @@ def schumacher_sim(ensemble, n: int, spec: Optional[TypicalitySpec] = None,
         sub = schumacher_projector(rho, spec, materialize_cap=0)
     elif rate is not None:
         max_dim = max(int(math.floor(2.0 ** (n * rate))), 1)
-        sub = _rank_limited_subspace(rho, n, max_dim)
-        all_vals = np.sort(np.clip(sub.eigenvalues, 0, None))[::-1]
-        prod_vals = all_vals
-        for _ in range(n - 1):
-            prod_vals = np.sort(np.outer(prod_vals, all_vals).reshape(-1))[::-1]
-        ky_fan = float(prod_vals[:max_dim].sum())
+        sub, ky_fan = _rank_limited_subspace(rho, n, max_dim)
     else:
         raise ValueError("provide either spec or rate")
 
@@ -435,39 +464,28 @@ def schumacher_sim(ensemble, n: int, spec: Optional[TypicalitySpec] = None,
     for k in range(d):
         junk_seq.extend([k] * top_type[k])
     junk_seq.sort(key=lambda k: -vals[k])
-    junk_seq = tuple(junk_seq)
 
     def w_of_type(x_counts: tuple[int, ...]) -> float:
-        # dynamic program over eigen-index compositions: probability that a
-        # product state with these letter counts projects into the subspace
+        # probability that a product state with these letter counts projects
+        # into the subspace, summed over its eigen-index compositions
         letters = []
         for x in range(m_letters):
             letters.extend([x] * x_counts[x])
-        # states over partial eigen-counts
-        table = {(0,) * d: 1.0}
-        for x in letters:
-            new = {}
-            for key, amp in table.items():
-                for k in range(d):
-                    nk = list(key)
-                    nk[k] += 1
-                    nk = tuple(nk)
-                    new[nk] = new.get(nk, 0.0) + amp * overlap[x, k]
-            table = new
+        table = _count_dp([overlap[x].tolist() for x in letters], d)
         return sum(v for key, v in table.items() if key in typical_types)
 
-    w_cache: dict[tuple[int, ...], float] = {}
+    probs_l = probs.tolist()
+    # G(c) by a dynamic program over positions: position i of a message
+    # contributes p_x O[x, junk_i] when it carries letter x
+    junk_mass = _count_dp([[p * o for p, o in zip(probs_l, overlap[:, k].tolist())]
+                           for k in junk_seq], m_letters)
     fbar = 0.0
-    for seq in itertools.product(range(m_letters), repeat=n):
-        p_seq = float(np.prod([probs[x] for x in seq]))
-        if p_seq == 0.0:
+    for counts, g in junk_mass.items():
+        mass = _multinomial(counts) * math.prod(p ** c for p, c in zip(probs_l, counts))
+        if mass == 0.0:
             continue
-        counts = tuple(seq.count(x) for x in range(m_letters))
-        if counts not in w_cache:
-            w_cache[counts] = w_of_type(counts)
-        w = w_cache[counts]
-        junk_overlap = float(np.prod([overlap[x, k] for x, k in zip(seq, junk_seq)]))
-        fbar += p_seq * (w * w + (1 - w) * junk_overlap)
+        w = w_of_type(counts)
+        fbar += mass * w * w + (1 - w) * g
 
     eff_rate = rate if rate is not None else math.log2(max(sub.dim, 1)) / n
     return CompressionReport(fbar, sub.weight, sub.dim, eff_rate,

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rng import stream
+from ._rng import check_trials, stream
 from .channels import KrausChannel, dilate
 from .linalg import (
     DensityOperator,
@@ -39,10 +39,11 @@ class DecouplingTrialSet:
 
     def __post_init__(self):
         da = self.sigma_ae.layout.dims[0]
+        if min(self.split) < 1:
+            raise ValueError(f"split {self.split} has a factor below 1")
         if self.split[0] * self.split[1] != da:
             raise ValueError(f"split {self.split} does not factor |A| = {da}")
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
+        check_trials(self.trials)
 
 
 @dataclass
@@ -62,7 +63,7 @@ def _l1(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _stderr(x: np.ndarray) -> float:
-    return float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
+    return float(x.std(ddof=1) / math.sqrt(x.size))
 
 
 def purity(m: np.ndarray) -> float:
@@ -220,6 +221,7 @@ def projected_decoupling_experiment(psi_ra, channel: KrausChannel, d_r2: int,
     onto |0>, renormalize, and measure how far R2 is from decoupled from E.
 
     psi_ra is a pure state with layout labels ("R", "A")."""
+    check_trials(trials)
     lay = psi_ra.layout
     d_r = lay.dims[lay.index("R")]
     if d_r % d_r2 != 0:
@@ -320,6 +322,7 @@ def black_hole_mirror_batch(n: int, k: int, cs: Sequence[int], age: str,
     """Mirror experiments for several emission margins c, sharing the Haar
     sample of each trial across margins (identical per-c results to separate
     runs with the same seed, at a fraction of the cost)."""
+    check_trials(trials)
     if n + k > 15:
         raise ValueError("state-vector guard: n + k <= 15 qubits")
     kps = [_emitted_count(n, k, c, age) for c in cs]
@@ -368,6 +371,7 @@ class SubsystemEntropyReport:
 def random_subsystem_entropy(d1: int, d2: int, trials: int, seed: int) -> SubsystemEntropyReport:
     """Mean entropy of the smaller share of a Haar-random pure state, against
     the near-maximal lower bound log2 d2 - d2 / (2 d1 ln 2)."""
+    check_trials(trials)
     if d1 * d2 > 2 ** 14:
         raise ValueError("dimension guard: |A| <= 2^14")
     lay = SubsystemLayout((d1, d2), ("A1", "A2"))

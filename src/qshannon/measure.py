@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from ._rng import stream
+from ._rng import check_trials, stream
 from .entropy import conditional_mutual_classical, holevo_chi, shannon_entropy, von_neumann_entropy
 from .linalg import DensityOperator, dagger, haar_random_pure, SubsystemLayout
 
@@ -189,6 +189,7 @@ def haar_information_gain(d: int, trials: int, seed: int) -> InfoGainReport:
     Carlo only for the conditional term E[-sum_y p_y ln p_y]."""
     if d < 2:
         raise ValueError("dimension must be >= 2")
+    check_trials(trials)
     exact = math.log(d) - sum(1.0 / k for k in range(2, d + 1))
     lay = SubsystemLayout((d,), ("A",))
     cond = np.empty(trials)

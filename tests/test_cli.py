@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qshannon
 from qshannon import cli
 
 
@@ -117,6 +121,33 @@ class TestDecoupleCommand:
 
     def test_missing_dims_is_usage_error(self, capsys):
         assert cli.main(["decouple"]) == 2
+
+    @pytest.mark.parametrize("config", [
+        {"command": "decouple", "dims": {"A1": 0, "A2": 2}},
+        {"command": "decouple", "dims": {"A1": 2, "A2": -1}},
+        {"command": "decouple", "dims": {"A1": 2, "A2": 2}, "e_dim": 0},
+    ])
+    def test_dimension_below_one_is_usage_error(self, tmp_path, capsys, config):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main(["--config", str(cfg)]) == 2
+
+
+class TestMonteCarloTrials:
+    @pytest.mark.parametrize("argv", [
+        ["blackhole", "--trials", "1", "--seed", "5"],
+        ["measure", "--example", "haar_gain", "--trials", "1"],
+    ])
+    def test_one_trial_is_usage_error(self, argv):
+        # a standard error needs two trials; run as a process to see stderr whole
+        src = os.path.dirname(os.path.dirname(qshannon.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-m", "qshannon.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "Warning" not in proc.stderr
 
 
 class TestSuiteCommand:

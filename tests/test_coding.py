@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qshannon import coding
 from qshannon.coding import (
@@ -19,7 +20,7 @@ from qshannon.coding import (
     typical_set_census,
 )
 from qshannon.entropy import shannon_entropy
-from qshannon.linalg import density_from_matrix
+from qshannon.linalg import density_from_matrix, eig_hermitian
 
 
 class TestTypicality:
@@ -77,6 +78,23 @@ class TestSlepianWolf:
         b = slepian_wolf_sim(self.PXY, n=16, rate=0.6, trials=100, seed=11)
         assert a.success_prob == b.success_prob
 
+    @pytest.mark.parametrize("pxy, n, rate, trials, seed, success", [
+        (PXY, 16, 0.6, 100, 11, 0.79),
+        (PXY, 20, 0.3, 60, 7, 0.3833333333333333),
+        ([[0.30, 0.0, 0.10], [0.05, 0.35, 0.20]], 10, 0.7, 60, 3, 0.9333333333333333),
+        ([[0.25, 0.25], [0.25, 0.25]], 12, 0.8, 40, 9, 0.25),
+    ])
+    def test_fixed_seed_results_unchanged(self, pxy, n, rate, trials, seed, success):
+        # values of the per-trial competitor enumeration; the per-composition
+        # cache must keep every binomial draw in the same order
+        rep = slepian_wolf_sim(np.array(pxy), n, rate, trials, seed)
+        assert rep.success_prob == success
+
+    def test_class_size_beyond_binomial_sampler_is_refused(self):
+        # C(35, 17)^2 > 2^63 competitors in one joint type class
+        with pytest.raises(EnumerationCapError):
+            slepian_wolf_sim(np.full((2, 2), 0.25), n=70, rate=0.5, trials=2, seed=1)
+
 
 class TestBscCode:
     def test_above_capacity_rate_fails(self):
@@ -123,6 +141,22 @@ class TestSchumacherProjector:
         with pytest.raises(EnumerationCapError):
             schumacher_projector(self.RHO, TypicalitySpec(20, 0.5))
 
+    @pytest.mark.parametrize("spectrum, lengths", [
+        ((0.8, 0.2), range(1, 9)),
+        ((0.6, 0.3, 0.1), range(1, 6)),
+    ])
+    @pytest.mark.parametrize("delta", [0.1, 0.3, 0.6])
+    def test_typical_mask_matches_sequence_loop(self, spectrum, lengths, delta):
+        d = len(spectrum)
+        rho = density_from_matrix(np.diag(spectrum).astype(complex))
+        for n in lengths:
+            sub = schumacher_projector(rho, TypicalitySpec(n, delta))
+            typical_types = {t for t, _ in sub.typical_types}
+            loop = np.array([tuple(seq.count(a) for a in range(d)) in typical_types
+                             for seq in itertools.product(range(d), repeat=n)])
+            mask = coding._typical_mask(sub, d)
+            assert mask.dtype == bool and np.array_equal(mask, loop)
+
 
 class TestSchumacherSim:
     ENSEMBLE = [(0.5, np.array([1.0, 0.0])),
@@ -147,6 +181,115 @@ class TestSchumacherSim:
         lo = schumacher_sim(self.ENSEMBLE, 3, rate=1 / 3)
         hi = schumacher_sim(self.ENSEMBLE, 3, rate=1.0)
         assert hi.fidelity >= lo.fidelity
+
+
+def _schumacher_by_enumeration(ensemble, n, spec=None, rate=None):
+    """Reference for schumacher_sim: the fidelity summed over all m^n message
+    sequences and the Ky Fan bound from all d^n sorted eigenvalue products."""
+    probs = np.array([p for p, _ in ensemble], dtype=float)
+    states = [np.asarray(v, dtype=complex).reshape(-1) for _, v in ensemble]
+    d, m = states[0].size, len(states)
+    rho = density_from_matrix(sum(p * np.outer(v, v.conj()) for p, v in zip(probs, states)))
+    vals, vecs = eig_hermitian(rho.matrix)
+    vals = np.clip(vals, 0.0, None)
+    ky_fan = None
+    if spec is not None:
+        sub = schumacher_projector(rho, spec, materialize_cap=0)
+        types, dim, weight = dict(sub.typical_types), sub.dim, sub.weight
+    else:
+        max_dim = max(int(math.floor(2.0 ** (n * rate))), 1)
+        logp = np.array([math.log2(v) if v > 1e-300 else -math.inf for v in vals])
+        classes = []
+        for counts in coding._compositions(n, d):
+            r = coding._type_rate(counts, logp)
+            if not math.isinf(r):
+                classes.append((counts, -r * n, coding._multinomial(counts)))
+        classes.sort(key=lambda c: -c[1])
+        types, dim, weight = {}, 0, 0.0
+        for counts, lg, mult in classes:
+            if dim + mult > max_dim:
+                break
+            types[counts] = lg
+            dim += mult
+            weight += mult * 2.0 ** lg
+        prod = np.array([1.0])
+        for _ in range(n):
+            prod = np.sort(np.outer(prod, vals).reshape(-1))[::-1]
+        ky_fan = float(prod[:max_dim].sum())
+    ref = {"dim": dim, "weight": weight, "ky_fan_bound": ky_fan, "fidelity": 0.0}
+    if not types:
+        return ref
+
+    overlap = np.abs(np.einsum("dk,xd->xk", vecs.conj(), np.array(states))) ** 2
+    top = max(types, key=types.get)
+    junk = sorted((k for k in range(d) for _ in range(top[k])), key=lambda k: -vals[k])
+
+    def w_of_type(x_counts):
+        table = {(0,) * d: 1.0}
+        for x in (x for x in range(m) for _ in range(x_counts[x])):
+            new = {}
+            for key, amp in table.items():
+                for k in range(d):
+                    nk = key[:k] + (key[k] + 1,) + key[k + 1:]
+                    new[nk] = new.get(nk, 0.0) + amp * overlap[x, k]
+            table = new
+        return sum(v for key, v in table.items() if key in types)
+
+    fbar = 0.0
+    for seq in itertools.product(range(m), repeat=n):
+        p_seq = float(np.prod([probs[x] for x in seq]))
+        if p_seq == 0.0:
+            continue
+        w = w_of_type(tuple(seq.count(x) for x in range(m)))
+        junk_overlap = float(np.prod([overlap[x, k] for x, k in zip(seq, junk)]))
+        fbar += p_seq * (w * w + (1 - w) * junk_overlap)
+    ref["fidelity"] = fbar
+    return ref
+
+
+def _qubit(theta, phi):
+    return np.array([math.cos(theta), math.sin(theta) * complex(math.cos(phi), math.sin(phi))])
+
+
+def _assert_matches_enumeration(ensemble, n, mode, knob):
+    kw = {"spec": TypicalitySpec(n, knob)} if mode == "spec" else {"rate": knob}
+    rep = schumacher_sim(ensemble, n, **kw)
+    ref = _schumacher_by_enumeration(ensemble, n, **kw)
+    assert rep.dim == ref["dim"]
+    assert rep.weight == ref["weight"]
+    assert rep.fidelity == pytest.approx(ref["fidelity"], abs=1e-12)
+    if mode == "rate":
+        assert rep.ky_fan_bound == pytest.approx(ref["ky_fan_bound"], abs=1e-12)
+    else:
+        assert rep.ky_fan_bound is None
+
+
+class TestSchumacherTypeSums:
+    """The type-class fidelity and Ky Fan bound against full enumeration."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.sampled_from([2, 3]),
+           n=st.integers(1, 8), mode=st.sampled_from(["spec", "rate"]))
+    def test_random_sources(self, seed, m, n, mode):
+        rng = np.random.default_rng(seed)
+        probs = rng.dirichlet(np.full(m, 2.0)).tolist()
+        states = [_qubit(rng.uniform(0, math.pi / 2), rng.uniform(0, 2 * math.pi))
+                  for _ in range(m)]
+        knob = rng.uniform(0.05, 0.6) if mode == "spec" else rng.uniform(0.1, 1.0)
+        _assert_matches_enumeration(list(zip(probs, states)), n, mode, knob)
+
+    @pytest.mark.parametrize("mode, knob", [("spec", 0.3), ("spec", 1.5), ("rate", 0.5),
+                                            ("rate", 0.9)])
+    @pytest.mark.parametrize("ensemble", [
+        # a zero-probability letter
+        [(0.7, _qubit(0.3, 0.0)), (0.3, _qubit(1.2, 2.0)), (0.0, _qubit(0.8, 1.0))],
+        # identical states: rho has a zero eigenvalue
+        [(0.6, np.array([1.0, 0.0])), (0.4, np.array([1.0, 0.0]))],
+        [(0.5, np.array([1.0, 0.0])), (0.3, np.array([-1.0, 0.0])),
+         (0.2, np.array([1j, 0.0]))],
+    ], ids=["zero_letter", "rank1_binary", "rank1_ternary"])
+    def test_degenerate_sources(self, ensemble, mode, knob):
+        _assert_matches_enumeration(ensemble, 6, mode, knob)
 
 
 class TestConcentration:

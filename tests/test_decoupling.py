@@ -6,6 +6,7 @@ import pytest
 from qshannon._rng import stream
 from qshannon import decoupling as dec
 from qshannon.channels import erasure, identity_channel
+from qshannon.measure import haar_information_gain
 from qshannon.linalg import (
     DensityOperator,
     PureState,
@@ -31,6 +32,11 @@ class TestBoundAndExperiment:
     def test_bad_split_rejected(self):
         with pytest.raises(ValueError):
             dec.decoupling_bound(basis_pure(8), (3, 2))
+
+    @pytest.mark.parametrize("split", [(0, 2), (-1, -2)])
+    def test_trial_set_rejects_split_below_one(self, split):
+        with pytest.raises(ValueError):
+            dec.DecouplingTrialSet(basis_pure(2), split, 10, 1)
 
     def test_pure_state_experiment_within_bound(self):
         rep = dec.decoupling_experiment(
@@ -123,6 +129,22 @@ class TestBlackHole:
         reps = dec.black_hole_mirror_batch(8, 2, [1, 2, 3], "old", 25, seed=47)
         fids = [r.fidelity_estimate for r in reps]
         assert fids[0] <= fids[1] <= fids[2]
+
+
+class TestTrialCount:
+    @pytest.mark.parametrize("run", [
+        lambda t: dec.decoupling_experiment(dec.DecouplingTrialSet(basis_pure(4), (2, 2), t, 1)),
+        lambda t: dec.projected_decoupling_experiment(
+            haar_random_pure(SubsystemLayout((2, 2), ("R", "A")), stream(1, 0)),
+            identity_channel(2), 2, t, 1),
+        lambda t: dec.random_subsystem_entropy(4, 2, t, 1),
+        lambda t: dec.black_hole_mirror_batch(4, 2, [1], "old", t, 1),
+        lambda t: haar_information_gain(2, t, 1),
+    ], ids=["decoupling", "projected", "subsystem_entropy", "mirror", "info_gain"])
+    @pytest.mark.parametrize("trials", [0, 1])
+    def test_fewer_than_two_trials_refused(self, run, trials):
+        with pytest.raises(ValueError, match="at least 2 trials"):
+            run(trials)
 
 
 class TestSubsystemEntropy:
