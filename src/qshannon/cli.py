@@ -334,6 +334,13 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 2
+        if not isinstance(cfg, dict):
+            print(f"error: config must be a JSON object, got {type(cfg).__name__}",
+                  file=sys.stderr)
+            return 2
+        if not isinstance(cfg.get("params", {}), dict):
+            print("error: config params must be a JSON object", file=sys.stderr)
+            return 2
 
     command = args.command or cfg.get("command")
     if command not in COMMANDS:

@@ -429,6 +429,8 @@ def schumacher_sim(ensemble, n: int, spec: Optional[TypicalitySpec] = None,
     into the subspace and G(c) sums p(x^n) |<junk|x^n>|^2 over the messages
     of type c.  Both come from dynamic programs over count vectors, so the
     cost is O(n d C(n+d-1, d-1) C(n+m-1, m-1)), polynomial in n."""
+    if n < 1:
+        raise ValueError(f"block length must be >= 1, got {n}")
     probs = validate_prob_dist([p for p, _ in ensemble])
     states = [np.asarray(v, dtype=complex).reshape(-1) for _, v in ensemble]
     d = states[0].size
@@ -537,6 +539,9 @@ def concentration_sim(p: float, n: int, trials: int, seed: int) -> Concentration
     if spill_e > 0:
         obs.append(spill_o)
         exp.append(spill_e)
+    if len(obs) < 2 and np.count_nonzero(pmf) > 1:
+        raise ValueError(f"{trials} trials are too few for the chi-squared test: pooling "
+                         f"the cells with expectation below 5 leaves {len(obs)} cell")
     from scipy.stats import chisquare
     exp = np.array(exp) * (sum(obs) / sum(exp))
     _, pvalue = chisquare(obs, exp)

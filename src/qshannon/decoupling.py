@@ -2,9 +2,14 @@
 discarding, the decoupling inequality, the Haar second-moment constants,
 projected decoupling for channel codes, and the black-hole-mirror model.
 
-Trial t of every experiment draws from the (seed, t) random stream, so runs
-are reproducible independent of any sharding.  L1 distances are computed
-exactly from eigenvalues of the Hermitian difference.
+Trial t of every experiment draws from the (seed, t) random stream.  The
+experiments run their trials in chunks (`_rng.trial_chunks`): the chunk's
+Haar isometries or states come from one stacked draw and one stacked QR
+(`linalg.haar_isometries`, `linalg.haar_states`), and the contractions,
+`eigvalsh` and entropies are stacked over the chunk.  Each trial's value is
+bit-identical to drawing it alone from stream(seed, t), whatever the chunk
+size.  L1 distances are computed exactly from eigenvalues of the Hermitian
+difference.
 """
 
 from __future__ import annotations
@@ -15,14 +20,16 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rng import check_trials, stream
+from ._rng import as_generator, check_trials, trial_chunks
 from .channels import KrausChannel, dilate
+from .entropy import row_entropies
 from .linalg import (
     DensityOperator,
     SubsystemLayout,
     dagger,
+    haar_isometries,
     haar_random_pure,
-    haar_random_unitary,
+    haar_states,
     partial_trace,
     partial_trace_pure,
 )
@@ -58,8 +65,9 @@ class DecouplingReport:
         return self.mean_l1 <= self.bound + slack_sigmas * self.mc_stderr
 
 
-def _l1(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.abs(np.linalg.eigvalsh(a - b)).sum())
+def _l1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """||a - b||_1 of each Hermitian matrix a in a stack against b."""
+    return np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1)
 
 
 def _stderr(x: np.ndarray) -> float:
@@ -96,14 +104,14 @@ def decoupling_experiment(t: DecouplingTrialSet) -> DecouplingReport:
     target = np.kron(np.eye(d2) / d2, sigma_e)
     m = sigma.matrix
     vals = np.empty(t.trials)
-    for i in range(t.trials):
-        u = haar_random_unitary(da, stream(t.seed, i))
-        big_u = np.kron(u, np.eye(de)) if has_e else u
+    for a, b in trial_chunks(t.trials, (da * de) ** 2):
+        u = haar_isometries(t.seed, a, b, da, da)
+        big_u = np.kron(u, np.eye(de)) if has_e else u    # kron of each matrix in the stack
         rotated = big_u @ m @ dagger(big_u)
         # trace out A1 (the leading tensor factor of A)
-        r = rotated.reshape(d1, d2 * de, d1, d2 * de)
-        kept = np.einsum("iaib->ab", r)
-        vals[i] = _l1(kept, target)
+        r = rotated.reshape(b - a, d1, d2 * de, d1, d2 * de)
+        kept = np.einsum("niaib->nab", r)
+        vals[a:b] = _l1(kept, target)
     bound = decoupling_bound(sigma, t.split)
     return DecouplingReport(float(vals.mean()), bound, vals, _stderr(vals))
 
@@ -113,25 +121,16 @@ def decoupling_experiment(t: DecouplingTrialSet) -> DecouplingReport:
 # ---------------------------------------------------------------------------
 
 def _swap_operator(d: int) -> np.ndarray:
-    s = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            s[i * d + j, j * d + i] = 1.0
-    return s
+    """SWAP on two copies of a d-dimensional space: |i j> -> |j i>."""
+    return np.eye(d * d).reshape(d, d, d * d).transpose(1, 0, 2).reshape(d * d, d * d)
 
 
 def _partial_swap(d1: int, d2: int) -> np.ndarray:
-    """I on the A1 copies tensor swap on the A2 copies, over (A, A')."""
+    """I on the A1 copies tensor swap on the A2 copies, over (A, A'):
+    |a1 a2, b1 b2> -> |a1 b2, b1 a2>."""
     d = d1 * d2
-    op = np.zeros((d * d, d * d))
-    for a1 in range(d1):
-        for a2 in range(d2):
-            for b1 in range(d1):
-                for b2 in range(d2):
-                    row = (a1 * d2 + b2) * d + (b1 * d2 + a2)
-                    col = (a1 * d2 + a2) * d + (b1 * d2 + b2)
-                    op[row, col] = 1.0
-    return op
+    rows = np.eye(d * d).reshape(d1, d2, d1, d2, d * d)
+    return rows.transpose(0, 3, 2, 1, 4).reshape(d * d, d * d)
 
 
 @dataclass
@@ -153,14 +152,15 @@ def expected_M_check(d1: int, d2: int, trials: int, seed: int) -> MomentReport:
         raise ValueError("dimension guard: |A| <= 16")
     op = _partial_swap(d1, d2)
     acc = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(trials):
-        u = haar_random_unitary(d, stream(seed, i))
-        uu = np.kron(u, u)
-        acc += dagger(uu) @ op @ uu
+    for a, b in trial_chunks(trials, d ** 4):
+        u = haar_isometries(seed, a, b, d, d)
+        # np.kron(u, u) of each trial, as one stacked product
+        uu = (u[:, :, None, :, None] * u[:, None, :, None, :]).reshape(b - a, d * d, d * d)
+        for term in dagger(uu) @ op @ uu:
+            acc += term        # trial by trial, the order of the one-trial loop
     mean = acc / trials
 
-    c_i = (1 / d2) * (1 - 1 / d1 ** 2) / (1 - 1 / d ** 2)
-    c_s = (1 / d1) * (1 - 1 / d2 ** 2) / (1 - 1 / d ** 2)
+    c_i, c_s, _, _ = moment_constants(d1, d2)
     s = _swap_operator(d)
     model = c_i * np.eye(d * d) + c_s * s
 
@@ -240,18 +240,16 @@ def projected_decoupling_experiment(psi_ra, channel: KrausChannel, d_r2: int,
     target = np.kron(np.eye(d_r2) / d_r2, sigma_e)
 
     vals = np.empty(trials)
-    for i in range(trials):
-        v = haar_random_unitary(d_r, stream(seed, i))
-        rot = np.einsum("sr,rbe->sbe", v, phi)
-        proj = rot.reshape(d_r1, d_r2, d_b, d_e)[0]      # R1 -> <0|
-        norm2 = np.vdot(proj, proj).real
-        if norm2 < 1e-30:
-            vals[i] = 0.0
-            continue
-        proj = proj / math.sqrt(norm2)
-        s_r2e = np.einsum("qbe,pbf->qepf", proj, proj.conj()).reshape(
-            d_r2 * d_e, d_r2 * d_e)
-        vals[i] = _l1(s_r2e, target)
+    for a, b in trial_chunks(trials, max(d_r * d_r, d_r * d_b * d_e, (d_r2 * d_e) ** 2)):
+        v = haar_isometries(seed, a, b, d_r, d_r)
+        rot = np.einsum("nsr,rbe->nsbe", v, phi)
+        proj = rot.reshape(b - a, d_r1, d_r2, d_b, d_e)[:, 0]      # R1 -> <0|
+        norm2 = np.array([np.vdot(p, p).real for p in proj])
+        live = norm2 >= 1e-30
+        proj = proj / np.sqrt(np.where(live, norm2, 1.0))[:, None, None, None]
+        s_r2e = np.einsum("nqbe,npbf->nqepf", proj, proj.conj()).reshape(
+            b - a, d_r2 * d_e, d_r2 * d_e)
+        vals[a:b] = np.where(live, _l1(s_r2e, target), 0.0)
     return DecouplingReport(float(vals.mean()), bound, vals, _stderr(vals))
 
 
@@ -281,8 +279,9 @@ def _emitted_count(n: int, k: int, c: int, age: str) -> int:
     raise ValueError(f"age must be 'old' or 'young', got {age!r}")
 
 
-def _mirror_l1_old(u: np.ndarray, n: int, k: int, kp: int) -> float:
-    """One-trial distance for the old (radiation-entangled) black hole.
+def _mirror_l1_old(u: np.ndarray, n: int, k: int, kp: int) -> np.ndarray:
+    """Per-trial distances, over a stack of unitaries, for the old
+    (radiation-entangled) black hole.
 
     The interior starts maximally entangled with collected radiation and the
     infalling qubits maximally entangled with a reference, so the global pure
@@ -290,31 +289,25 @@ def _mirror_l1_old(u: np.ndarray, n: int, k: int, kp: int) -> float:
     U / sqrt(2^n); the retained-system marginal is a Gram matrix of a
     rearrangement of U."""
     d_a, d_rem, d_em = 2 ** k, 2 ** (n - kp), 2 ** kp
-    t = u.reshape(d_em, d_rem, d_a, 2 ** (n - k))       # (emitted, kept, a, b)
-    w = np.transpose(t, (1, 2, 0, 3)).reshape(d_rem * d_a, d_em * 2 ** (n - k))
-    sigma = (w @ w.conj().T) / (2 ** n)
+    t = u.reshape(-1, d_em, d_rem, d_a, 2 ** (n - k))       # (trial, emitted, kept, a, b)
+    w = np.transpose(t, (0, 2, 3, 1, 4)).reshape(-1, d_rem * d_a, d_em * 2 ** (n - k))
+    sigma = (w @ dagger(w)) / (2 ** n)
     d = d_rem * d_a
     evals = np.linalg.eigvalsh(sigma)
-    return float(np.abs(evals - 1.0 / d).sum())
+    return np.abs(evals - 1.0 / d).sum(axis=-1)
 
 
-def _mirror_l1_young(iso: np.ndarray, n: int, k: int, kp: int) -> float:
-    """One-trial distance for the young (initially pure) black hole; only the
-    action of U on the 2^k-dimensional infalling subspace matters."""
+def _mirror_l1_young(iso: np.ndarray, n: int, k: int, kp: int) -> np.ndarray:
+    """Per-trial distances, over a stack of isometries, for the young
+    (initially pure) black hole; only the action of U on the 2^k-dimensional
+    infalling subspace matters."""
     d_a, d_rem, d_em = 2 ** k, 2 ** (n - kp), 2 ** kp
-    t = iso.reshape(d_em, d_rem, d_a) / math.sqrt(d_a)  # (emitted, kept, a)
-    m = np.transpose(t, (1, 2, 0)).reshape(d_rem * d_a, d_em)
-    sigma = m @ m.conj().T
+    t = iso.reshape(-1, d_em, d_rem, d_a) / math.sqrt(d_a)  # (trial, emitted, kept, a)
+    m = np.transpose(t, (0, 2, 3, 1)).reshape(-1, d_rem * d_a, d_em)
+    sigma = m @ dagger(m)
     d = d_rem * d_a
     evals = np.linalg.eigvalsh(sigma)
-    return float(np.abs(evals - 1.0 / d).sum())
-
-
-def _haar_isometry(d: int, cols: int, rng) -> np.ndarray:
-    z = (rng.standard_normal((d, cols)) + 1j * rng.standard_normal((d, cols))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    return np.abs(evals - 1.0 / d).sum(axis=-1)
 
 
 def black_hole_mirror_batch(n: int, k: int, cs: Sequence[int], age: str,
@@ -330,17 +323,14 @@ def black_hole_mirror_batch(n: int, k: int, cs: Sequence[int], age: str,
         if kp > n:
             raise ValueError(f"cannot emit {kp} of {n} qubits")
     d = 2 ** n
+    cols, mirror_l1 = (d, _mirror_l1_old) if age == "old" else (2 ** k, _mirror_l1_young)
     per_c = np.empty((len(cs), trials))
-    for t in range(trials):
-        rng = stream(seed, t)
-        if age == "old":
-            u = _haar_isometry(d, d, rng)
-            for j, kp in enumerate(kps):
-                per_c[j, t] = _mirror_l1_old(u, n, k, kp)
-        else:
-            iso = _haar_isometry(d, 2 ** k, rng)
-            for j, kp in enumerate(kps):
-                per_c[j, t] = _mirror_l1_young(iso, n, k, kp)
+    # the draws, and each margin's marginal on the kept qubits and A
+    entries = max([d * cols] + [4 ** (n - kp + k) for kp in kps])
+    for a, b in trial_chunks(trials, entries):
+        iso = haar_isometries(seed, a, b, d, cols)
+        for j, kp in enumerate(kps):
+            per_c[j, a:b] = mirror_l1(iso, n, k, kp)
     reports = []
     for j, (c, kp) in enumerate(zip(cs, kps)):
         vals = per_c[j]
@@ -374,14 +364,13 @@ def random_subsystem_entropy(d1: int, d2: int, trials: int, seed: int) -> Subsys
     check_trials(trials)
     if d1 * d2 > 2 ** 14:
         raise ValueError("dimension guard: |A| <= 2^14")
-    lay = SubsystemLayout((d1, d2), ("A1", "A2"))
     vals = np.empty(trials)
-    for i in range(trials):
-        psi = haar_random_pure(lay, stream(seed, i))
-        rho2 = partial_trace_pure(psi, ["A2"]).matrix
-        ev = np.clip(np.linalg.eigvalsh(rho2), 0.0, None)
-        nz = ev[ev > 1e-14]
-        vals[i] = float(-np.sum(nz * np.log2(nz)))
+    for a, b in trial_chunks(trials, d2 * max(d1, d2)):
+        amps = haar_states(seed, a, b, d1 * d2)
+        # the A2 marginal, formed as partial_trace_pure forms it
+        m = amps.reshape(b - a, d1, d2).transpose(0, 2, 1).reshape(b - a, d2, d1)
+        ev = np.clip(np.linalg.eigvalsh(m @ dagger(m)), 0.0, None)
+        vals[a:b] = row_entropies(ev, 1e-14, np.log2)
     bound = math.log2(d2) - d2 / (2 * d1 * math.log(2)) if d2 > 1 else 0.0
     return SubsystemEntropyReport(float(vals.mean()), bound, _stderr(vals))
 
@@ -393,7 +382,6 @@ def random_subsystem_entropy(d1: int, d2: int, trials: int, seed: int) -> Subsys
 def random_sigma_ae(d_a: int, d_e: int, seed_or_rng, purifier_dims=(1, 2, 4)) -> DensityOperator:
     """sigma_AE drawn by tracing a Haar pure state on A x E x F with a random
     purifier dimension |F|, covering both pure and mixed regimes."""
-    from ._rng import as_generator
     rng = as_generator(seed_or_rng)
     d_f = int(rng.choice(purifier_dims))
     lay = SubsystemLayout((d_a, d_e, d_f), ("A", "E", "F"))

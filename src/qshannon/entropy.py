@@ -19,12 +19,9 @@ from scipy.linalg import expm, logm
 from .linalg import (
     DensityOperator,
     PureState,
-    SubsystemLayout,
     clean_spectrum,
     eig_hermitian,
     partial_trace,
-    purify,
-    tensor_product,
 )
 
 ZERO_EIGENVALUE = 1e-14
@@ -48,6 +45,19 @@ def shannon_entropy(p, base: float = 2) -> float:
     p = validate_prob_dist(p)
     nz = p[p > ZERO_EIGENVALUE]
     return float(-np.sum(nz * _log(nz, base)))
+
+
+def row_entropies(p: np.ndarray, floor: float, log) -> np.ndarray:
+    """-sum p log p over the entries above `floor` of each row of p, each row
+    summed exactly as the 1-D array of its kept entries would be."""
+    keep = p > floor
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = -np.sum(p * log(p), axis=-1)
+    # a dropped entry would shift the others within the pairwise sum
+    for i in np.flatnonzero(~keep.all(axis=-1)):
+        nz = p[i][keep[i]]
+        out[i] = -np.sum(nz * log(nz))
+    return out
 
 
 def conditional_mutual_classical(pxy, base: float = 2) -> tuple[float, float]:

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._rng import as_generator
+from ._rng import as_generator, normal_pairs
 
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -26,7 +26,8 @@ class LayoutError(ValueError):
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
@@ -159,11 +160,6 @@ def maximally_mixed(lay: SubsystemLayout) -> DensityOperator:
     return DensityOperator(np.eye(d) / d, lay)
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices or vectors."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def tensor(*parts: PureState | DensityOperator):
     """Tensor states or density operators, concatenating layouts."""
     if not parts:
@@ -293,16 +289,41 @@ def purify(rho: DensityOperator, ref_label: str = _REF_LABEL) -> PureState:
     return PureState(amps, lay)
 
 
+def _phase_fixed_qr(z: np.ndarray) -> np.ndarray:
+    """Q of z = QR, column phases fixed so that R has a positive diagonal, for
+    one matrix or a stack.  For Ginibre z this Q is Haar-distributed; naive
+    QR is not (Mezzadri, math-ph/0609050)."""
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    q *= (diag / np.abs(diag))[..., None, :]
+    return q
+
+
+def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random isometry (rows x cols, cols <= rows) from a Ginibre draw."""
+    z = (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2)
+    return _phase_fixed_qr(z)
+
+
+def haar_isometries(seed: int, start: int, stop: int, rows: int, cols: int) -> np.ndarray:
+    """Stack of the isometries haar_isometry(rows, cols, stream(seed, t)) draws
+    for t in [start, stop), bit for bit."""
+    re, im = normal_pairs(seed, start, stop, (rows, cols))
+    # the same operations as haar_isometry, in place, with the real draws
+    # released before the QR so a large trial needs no more memory than one
+    z = 1j * im
+    del im
+    z += re
+    del re
+    z /= np.sqrt(2)
+    return _phase_fixed_qr(z)
+
+
 def haar_random_unitary(d: int, seed_or_rng) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
+    """Haar-distributed d x d unitary."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    rng = as_generator(seed_or_rng)
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    # naive QR is not Haar; the R_ii / |R_ii| correction fixes the phase bias
-    return q * (diag / np.abs(diag))
+    return haar_isometry(d, d, as_generator(seed_or_rng))
 
 
 def haar_random_pure(lay: SubsystemLayout, seed_or_rng) -> PureState:
@@ -311,6 +332,16 @@ def haar_random_pure(lay: SubsystemLayout, seed_or_rng) -> PureState:
     d = lay.total_dim
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return PureState(v / np.linalg.norm(v), lay)
+
+
+def haar_states(seed: int, start: int, stop: int, d: int) -> np.ndarray:
+    """Rows of the amplitudes haar_random_pure draws from stream(seed, t) for
+    t in [start, stop), bit for bit."""
+    re, im = normal_pairs(seed, start, stop, (d,))
+    v = re + 1j * im
+    # one norm per row, taken as haar_random_pure takes it: a stacked norm
+    # sums in another order
+    return v / np.array([np.linalg.norm(row) for row in v])[:, None]
 
 
 def trace_norm(m: np.ndarray) -> float:

@@ -12,9 +12,10 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from ._rng import check_trials, stream
-from .entropy import conditional_mutual_classical, holevo_chi, shannon_entropy, von_neumann_entropy
-from .linalg import DensityOperator, dagger, haar_random_pure, SubsystemLayout
+from ._rng import check_trials, stream, trial_chunks
+from .entropy import (conditional_mutual_classical, holevo_chi, row_entropies, shannon_entropy,
+                      von_neumann_entropy)
+from .linalg import DensityOperator, dagger, haar_states
 
 POVM_TOL = 1e-10
 
@@ -191,13 +192,10 @@ def haar_information_gain(d: int, trials: int, seed: int) -> InfoGainReport:
         raise ValueError("dimension must be >= 2")
     check_trials(trials)
     exact = math.log(d) - sum(1.0 / k for k in range(2, d + 1))
-    lay = SubsystemLayout((d,), ("A",))
     cond = np.empty(trials)
-    for t in range(trials):
-        psi = haar_random_pure(lay, stream(seed, t))
-        p = np.abs(psi.amplitudes) ** 2
-        nz = p[p > 1e-300]
-        cond[t] = -np.sum(nz * np.log(nz))
+    for a, b in trial_chunks(trials, d):
+        p = np.abs(haar_states(seed, a, b, d)) ** 2
+        cond[a:b] = row_entropies(p, 1e-300, np.log)
     est = math.log(d) - float(cond.mean())
     stderr = float(cond.std(ddof=1) / math.sqrt(trials))
     ln2 = math.log(2)

@@ -24,6 +24,7 @@ from .linalg import (
     SubsystemLayout,
     density_from_matrix,
     eig_hermitian,
+    haar_isometry,
     haar_random_pure,
     haar_random_unitary,
     layout,
@@ -305,9 +306,7 @@ def check_entropy_inequalities(instances: int = 500) -> CheckResult:
 
 def _random_channel(rng, d: int, n_kraus: int) -> ch.KrausChannel:
     """Random CPTP map from a Haar isometry d -> d * n_kraus."""
-    z = rng.standard_normal((d * n_kraus, d)) + 1j * rng.standard_normal((d * n_kraus, d))
-    q, r = np.linalg.qr(z)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    q = haar_isometry(d * n_kraus, d, rng)
     ops = tuple(q.reshape(d, n_kraus, d)[:, k, :] for k in range(n_kraus))
     return ch.KrausChannel(ops, d, d)
 

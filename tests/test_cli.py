@@ -25,6 +25,32 @@ class TestUsage:
     def test_bad_config_path(self, capsys):
         assert cli.main(["entropy", "--config", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize("config", [
+        [{"command": "entropy", "probs": [0.5, 0.5]}],
+        "entropy",
+        {"command": "entropy", "params": [["probs", [0.5, 0.5]]]},
+        {"command": "entropy", "params": "probs"},
+    ], ids=["list", "string", "params_list", "params_string"])
+    def test_config_not_an_object_is_usage_error(self, tmp_path, capsys, config):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main(["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: config")
+
+    @pytest.mark.parametrize("config,argv", [
+        ({"command": "compress", "probs": [0.5, 0.5], "n": 0, "rate": 0.5,
+          "states": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}, []),
+        ({"command": "compress", "example": "schumacher3qubit", "n": 0}, []),
+        ({"command": "concentrate"}, ["--trials", "1"]),
+        ({"command": "concentrate"}, ["--trials", "2"]),
+    ], ids=["compress_rate_n0", "compress_spec_n0", "concentrate_1", "concentrate_2"])
+    def test_sample_too_small_is_usage_error(self, tmp_path, capsys, config, argv):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main(["--config", str(cfg), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
 
 class TestEntropyCommand:
     def test_probs_json(self, tmp_path, capsys):

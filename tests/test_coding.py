@@ -182,6 +182,11 @@ class TestSchumacherSim:
         hi = schumacher_sim(self.ENSEMBLE, 3, rate=1.0)
         assert hi.fidelity >= lo.fidelity
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_block_length_below_one_refused(self, n):
+        with pytest.raises(ValueError, match="block length"):
+            schumacher_sim(self.ENSEMBLE, n, rate=0.5)
+
 
 def _schumacher_by_enumeration(ensemble, n, spec=None, rate=None):
     """Reference for schumacher_sim: the fidelity summed over all m^n message
@@ -314,3 +319,9 @@ class TestConcentration:
     def test_degenerate_p(self):
         rep = concentration_sim(0.0, 10, trials=50, seed=31)
         assert rep.mean_log2_d == 0.0
+
+    @pytest.mark.parametrize("trials", [1, 2, 20])
+    def test_too_few_trials_for_chi_squared_refused(self, trials):
+        # at n = 40, p = 0.2 no outcome has expectation 5 below about 33 trials
+        with pytest.raises(ValueError, match="too few for the chi-squared test"):
+            concentration_sim(0.2, 40, trials=trials, seed=41)
