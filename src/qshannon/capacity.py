@@ -4,6 +4,14 @@ Holevo chi, one-shot quantum capacity, and entanglement-assisted capacity.
 All values are in bits per channel use.  The ensemble/state optimizers certify
 lower bounds (best value over seeded restarts); Blahut-Arimoto and the
 entanglement-assisted ascent also report a duality gap.
+
+The quantum optimizers run L-BFGS-B on exact gradients.  Their objectives hold
+the Kraus operators as one stacked tensor K[k, b, a]: the Q1 and C_E
+objectives form V rho V† once and trace it both ways for N(rho) and N_c(rho),
+the chi objective sends every ensemble member through the channel in one
+einsum, and one eigh per matrix (or per stack) gives both the entropy and the
+matrix log2 that the gradient needs.  `converged` on Q1 and chi is the L-BFGS
+termination status of the restart whose value is returned.
 """
 
 from __future__ import annotations
@@ -16,8 +24,8 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 
 from ._rng import stream
-from .channels import KrausChannel, apply, complementary, depolarizing, erasure
-from .entropy import shannon_entropy
+from .channels import KrausChannel, depolarizing, erasure
+from .entropy import ZERO_EIGENVALUE, shannon_entropy
 from .linalg import dagger
 
 LN2 = math.log(2)
@@ -70,89 +78,106 @@ def blahut_arimoto(w: np.ndarray, tol: float = 1e-9, max_iter: int = 100_000) ->
 # shared pieces for the quantum optimizers
 # ---------------------------------------------------------------------------
 
-def _log2_psd(m: np.ndarray, floor: float = 1e-18) -> np.ndarray:
-    """Matrix log2 with eigenvalues clamped away from zero (smoothed)."""
+LBFGS_OPTIONS = {"maxiter": 10_000, "ftol": 1e-13, "gtol": 1e-9}
+
+
+def _spectral(m: np.ndarray):
+    """Entropy in bits and matrix log2 (eigenvalues clamped at 1e-18) of a
+    Hermitian matrix, or of each matrix in a stack, both from one eigh."""
     vals, vecs = np.linalg.eigh(m)
-    vals = np.clip(vals.real, floor, None)
-    return (vecs * np.log2(vals)) @ dagger(vecs)
-
-
-def _adjoint(channel: KrausChannel, x: np.ndarray) -> np.ndarray:
-    return sum(dagger(k) @ x @ k for k in channel.kraus_ops)
-
-
-def _channel_mat(channel: KrausChannel, m: np.ndarray) -> np.ndarray:
-    return sum(k @ m @ dagger(k) for k in channel.kraus_ops)
-
-
-def _entropy_bits(m: np.ndarray) -> float:
-    vals = np.clip(np.linalg.eigvalsh(m), 0.0, None)
-    nz = vals[vals > 1e-14]
-    return float(-np.sum(nz * np.log2(nz)))
+    logv = np.log2(np.clip(vals, 1e-18, None))
+    h = -np.sum(np.where(vals > ZERO_EIGENVALUE, vals * logv, 0.0), axis=-1)
+    return h, (vecs * logv[..., None, :]) @ dagger(vecs)
 
 
 def _rho_objective_factory(channel: KrausChannel, assisted: bool):
     """Objective f(rho) and its Hermitian gradient for the coherent-information
-    (assisted=False) or I(R;B) (assisted=True) functional."""
-    comp = complementary(channel)
+    (assisted=False) or I(R;B) (assisted=True) functional.
+
+    With the Kraus operators stacked as K[k, b, a], the joint output
+    V rho V† (V = sum_k |k> ⊗ K_k) is formed once; tracing it over k gives
+    N(rho) and over b gives N_c(rho).  The exact gradient of
+    H(N(rho)) - H(N_c(rho)) is V†(log2 N_c(rho) ⊗ I - I ⊗ log2 N(rho))V."""
+    k = np.stack(channel.kraus_ops)
+    ne, nb, _ = k.shape
+    v = k.reshape(ne * nb, -1)
+    vh = dagger(v)
+    eye_b, eye_e = np.eye(nb), np.eye(ne)
 
     def f_and_grad(rho: np.ndarray) -> tuple[float, np.ndarray]:
-        out_b = _channel_mat(channel, rho)
-        out_e = _channel_mat(comp, rho)
-        val = _entropy_bits(out_b) - _entropy_bits(out_e)
-        grad = -_adjoint(channel, _log2_psd(out_b)) + _adjoint(comp, _log2_psd(out_e))
+        joint = (v @ rho @ vh).reshape(ne, nb, ne, nb)
+        h_b, log_b = _spectral(np.einsum("kbkc->bc", joint))
+        h_e, log_e = _spectral(np.einsum("kblb->kl", joint))
+        val = h_b - h_e
+        z = (log_e[:, None, :, None] * eye_b[None, :, None, :]
+             - eye_e[:, None, :, None] * log_b[None, :, None, :])
+        grad = vh @ z.reshape(ne * nb, ne * nb) @ v
         if assisted:
-            val += _entropy_bits(rho)
-            grad += -_log2_psd(rho) - np.eye(rho.shape[0]) / LN2
-        return val, grad
+            h_a, log_a = _spectral(rho)
+            val += h_a
+            grad += -log_a - np.eye(rho.shape[0]) / LN2
+        return float(val), grad
 
     return f_and_grad
 
 
-def _maximize_over_states(channel: KrausChannel, f_and_grad, restarts: int,
-                          seed: int, tol: float) -> tuple[float, np.ndarray, int]:
-    """Maximize a state functional over rho = L L† / tr(L L†), multi-start."""
-    d = channel.dim_in
+def _unpack_square(x: np.ndarray, d: int) -> np.ndarray:
+    return (x[: d * d] + 1j * x[d * d:]).reshape(d, d)
 
-    def unpack(x: np.ndarray) -> np.ndarray:
-        return (x[: d * d] + 1j * x[d * d:]).reshape(d, d)
+
+def _state_objective(f_and_grad, d: int):
+    """neg(x) -> (-f, -gradient) over rho = L L† / tr(L L†), with the d x d
+    complex L packed in x (real parts, then imaginary)."""
 
     def neg(x: np.ndarray):
-        ell = unpack(x)
-        t = np.trace(ell @ dagger(ell)).real
-        rho = (ell @ dagger(ell)) / t
+        ell = _unpack_square(x, d)
+        rho = ell @ dagger(ell)
+        t = np.trace(rho).real
+        rho = rho / t
         val, g = f_and_grad(rho)
         m = g - np.trace(g @ rho).real * np.eye(d)
         gl = (2.0 / t) * (m @ ell)
         return -val, -np.concatenate([gl.real.reshape(-1), gl.imag.reshape(-1)])
 
-    best_val, best_rho, evals = -np.inf, None, 0
+    return neg
+
+
+def _maximize_over_states(channel: KrausChannel, f_and_grad, restarts: int,
+                          seed: int, tol: float) -> tuple[float, np.ndarray, int, bool]:
+    """Maximize a state functional over rho = L L† / tr(L L†), multi-start.
+
+    Returns the best value, its state, the L-BFGS iterations over all
+    restarts, and whether the returned value is converged: the L-BFGS status
+    of the winning restart, or True for the closed-form candidate."""
+    d = channel.dim_in
+    neg = _state_objective(f_and_grad, d)
+    best_val, best_rho, evals, converged = -np.inf, None, 0, False
     for r in range(restarts):
         rng = stream(seed, r)
         x0 = rng.standard_normal(2 * d * d)
-        res = minimize(neg, x0, jac=True, method="L-BFGS-B",
-                       options={"maxiter": 10_000, "ftol": 1e-13, "gtol": 1e-9})
+        res = minimize(neg, x0, jac=True, method="L-BFGS-B", options=LBFGS_OPTIONS)
         evals += res.nit
         if -res.fun > best_val:
-            best_val = -res.fun
-            ell = unpack(res.x)
+            best_val, converged = -res.fun, bool(res.success)
+            ell = _unpack_square(res.x, d)
             best_rho = (ell @ dagger(ell)) / np.trace(ell @ dagger(ell)).real
     # the maximally mixed input is exactly optimal for the covariant catalog
     # families; always include it as a candidate
     mm = np.eye(d) / d
     mm_val, _ = f_and_grad(mm)
     if mm_val > best_val:
-        best_val, best_rho = mm_val, mm
-    return best_val, best_rho, evals
+        best_val, best_rho, converged = mm_val, mm, True
+    return best_val, best_rho, evals, converged
 
 
 def one_shot_quantum_capacity(channel: KrausChannel, restarts: int = 10,
                               tol: float = 1e-8, seed: int = 11) -> CapacityResult:
     """Q1 = max over inputs of the coherent information, clamped at 0 in
-    `value` with the raw optimum kept in `raw_value`."""
+    `value` with the raw optimum kept in `raw_value`.  `converged` is the
+    L-BFGS status of the restart whose value is returned."""
     f = _rho_objective_factory(channel, assisted=False)
-    val, rho, iters = _maximize_over_states(channel, f, restarts, seed, tol)
-    return CapacityResult(max(val, 0.0), rho, iters, True, raw_value=val)
+    val, rho, iters, converged = _maximize_over_states(channel, f, restarts, seed, tol)
+    return CapacityResult(max(val, 0.0), rho, iters, converged, raw_value=val)
 
 
 def entanglement_assisted_capacity(channel: KrausChannel, tol: float = 1e-8,
@@ -166,7 +191,7 @@ def entanglement_assisted_capacity(channel: KrausChannel, tol: float = 1e-8,
     best_val, best_rho = -np.inf, None
     iters = 0
     for r in range(restarts):
-        v, rho, it = _maximize_over_states(channel, f, 1, seed + r, tol)
+        v, rho, it, _ = _maximize_over_states(channel, f, 1, seed + r, tol)
         vals.append(v)
         iters += it
         if v > best_val:
@@ -175,61 +200,73 @@ def entanglement_assisted_capacity(channel: KrausChannel, tol: float = 1e-8,
     return CapacityResult(best_val, best_rho, iters, gap < 1e-6, gap)
 
 
+def _unpack_ensemble(x: np.ndarray, m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """m unnormalized complex vectors (real parts, then imaginary) and the
+    probabilities from the m logits that follow them."""
+    vecs = (x[: m * d] + 1j * x[m * d: 2 * m * d]).reshape(m, d)
+    a = x[2 * m * d:] - x[2 * m * d:].max()
+    p = np.exp(a)
+    p /= p.sum()
+    return vecs, p
+
+
+def _chi_objective(channel: KrausChannel, m: int):
+    """neg(x) -> (-chi, -gradient) for an ensemble of m pure inputs: x packs
+    m unnormalized complex vectors (real parts, then imaginary) and m
+    probability logits.  All members go through the channel in one einsum,
+    and one stacked eigh gives the entropies and log2 of their outputs and of
+    the average output."""
+    k = np.stack(channel.kraus_ops)
+    kc = k.conj()
+    d = channel.dim_in
+
+    def neg(x: np.ndarray):
+        vecs, p = _unpack_ensemble(x, m, d)
+        ts = np.einsum("id,id->i", vecs.conj(), vecs).real
+        kv = np.einsum("kba,ia->ikb", k, vecs)              # K_k v_i
+        sigmas = np.einsum("ikb,ikc->ibc", kv, kv.conj()) / ts[:, None, None]
+        sbar = np.einsum("i,ibc->bc", p, sigmas)
+        h, logs = _spectral(np.concatenate([sigmas, sbar[None]]))
+        h_members, log_members, log_sbar = h[:m], logs[:m], logs[m]
+        chi = h[m] - float(p @ h_members)
+
+        # N†(log2 sigma_i - log2 sbar) v_i, one member at a time in one einsum
+        u = np.einsum("kba,ibc,ikc->ia", kc, log_members - log_sbar, kv)
+        proj = np.einsum("ia,ia->i", vecs.conj(), u).real / ts
+        gv = (2.0 * p / ts)[:, None] * (u - proj[:, None] * vecs)
+        gp = -np.einsum("ibc,cb->i", sigmas, log_sbar).real - h_members
+        grad = np.concatenate([gv.real.reshape(-1), gv.imag.reshape(-1),
+                               p * (gp - float(p @ gp))])
+        return -chi, -grad
+
+    return neg
+
+
 def holevo_chi_channel(channel: KrausChannel, ensemble_size: Optional[int] = None,
                        restarts: int = 10, tol: float = 1e-8,
                        seed: int = 17) -> CapacityResult:
     """Lower bound on the product-state capacity chi(N): best ensemble of
-    pure inputs found by gradient ascent over states and probabilities."""
+    pure inputs found by gradient ascent over states and probabilities, with
+    the exact gradient (see `_chi_objective`).  `converged` is the L-BFGS
+    status of the restart whose value is returned."""
     d = channel.dim_in
     m = ensemble_size if ensemble_size is not None else d * d
     nv = 2 * m * d  # real parameters for m unnormalized complex vectors
+    neg = _chi_objective(channel, m)
 
-    def unpack(x: np.ndarray):
-        vecs = (x[: m * d] + 1j * x[m * d: nv]).reshape(m, d)
-        logits = x[nv:]
-        return vecs, logits
-
-    def neg(x: np.ndarray):
-        vecs, logits = unpack(x)
-        a = logits - logits.max()
-        p = np.exp(a)
-        p /= p.sum()
-        ts = np.einsum("id,id->i", vecs.conj(), vecs).real
-        rhos = [np.outer(v, v.conj()) / t for v, t in zip(vecs, ts)]
-        sigmas = [_channel_mat(channel, r) for r in rhos]
-        sbar = sum(pi * s for pi, s in zip(p, sigmas))
-        h_members = np.array([_entropy_bits(s) for s in sigmas])
-        chi = _entropy_bits(sbar) - float(p @ h_members)
-
-        log_sbar = _log2_psd(sbar)
-        grad_x = np.zeros_like(x)
-        for i in range(m):
-            gi = p[i] * _adjoint(channel, _log2_psd(sigmas[i]) - log_sbar)
-            mmat = gi - np.trace(gi @ rhos[i]).real * np.eye(d)
-            gv = (2.0 / ts[i]) * (mmat @ vecs[i])
-            grad_x[i * d: (i + 1) * d] = gv.real
-            grad_x[m * d + i * d: m * d + (i + 1) * d] = gv.imag
-        gp = np.array([-np.trace(s @ log_sbar).real - h for s, h in zip(sigmas, h_members)])
-        grad_x[nv:] = p * (gp - float(p @ gp))
-        return -chi, -grad_x
-
-    best_val, best_x, iters = -np.inf, None, 0
+    best_val, best_x, iters, converged = -np.inf, None, 0, False
     for r in range(restarts):
         rng = stream(seed, r)
         x0 = np.concatenate([rng.standard_normal(nv), rng.standard_normal(m) * 0.1])
-        res = minimize(neg, x0, jac=True, method="L-BFGS-B",
-                       options={"maxiter": 10_000, "ftol": 1e-13, "gtol": 1e-9})
+        res = minimize(neg, x0, jac=True, method="L-BFGS-B", options=LBFGS_OPTIONS)
         iters += res.nit
         if -res.fun > best_val:
-            best_val, best_x = -res.fun, res.x
+            best_val, best_x, converged = -res.fun, res.x, bool(res.success)
 
-    vecs, logits = unpack(best_x)
-    a = logits - logits.max()
-    p = np.exp(a)
-    p /= p.sum()
+    vecs, p = _unpack_ensemble(best_x, m, d)
     ensemble = [(float(pi), np.outer(v, v.conj()) / (v.conj() @ v).real)
                 for pi, v in zip(p, vecs)]
-    return CapacityResult(best_val, ensemble, iters, True)
+    return CapacityResult(best_val, ensemble, iters, converged)
 
 
 # ---------------------------------------------------------------------------

@@ -539,12 +539,16 @@ def concentration_sim(p: float, n: int, trials: int, seed: int) -> Concentration
     if spill_e > 0:
         obs.append(spill_o)
         exp.append(spill_e)
-    if len(obs) < 2 and np.count_nonzero(pmf) > 1:
+    if np.count_nonzero(pmf) == 1:
+        # a one-outcome law: the histogram equals it exactly
+        pvalue = 1.0
+    elif len(obs) < 2:
         raise ValueError(f"{trials} trials are too few for the chi-squared test: pooling "
                          f"the cells with expectation below 5 leaves {len(obs)} cell")
-    from scipy.stats import chisquare
-    exp = np.array(exp) * (sum(obs) / sum(exp))
-    _, pvalue = chisquare(obs, exp)
+    else:
+        from scipy.stats import chisquare
+        exp = np.array(exp) * (sum(obs) / sum(exp))
+        _, pvalue = chisquare(obs, exp)
 
     return ConcentrationReport(hist, expected, float(log_d.mean()),
                                float(log_d.mean() / n), exact_mean, float(pvalue))

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import expm, logm
 
 from .linalg import (
     DensityOperator,
@@ -214,6 +212,8 @@ def gibbs_free_energy(hamiltonian: np.ndarray, beta: float, rho: DensityOperator
     h = np.asarray(hamiltonian, dtype=complex)
     if beta <= 0:
         raise ValueError("beta must be positive")
+    from scipy.linalg import expm
+
     w = expm(-beta * h)
     z = np.trace(w).real
     gibbs = DensityOperator(w / z, rho.layout)
@@ -230,12 +230,11 @@ def gibbs_free_energy(hamiltonian: np.ndarray, beta: float, rho: DensityOperator
 
 def landauer_work(beta: float) -> float:
     """Work to reset a two-level system by sweeping the excited level upward:
-    integral of the excited-state occupation over the level splitting."""
+    the integral over the level splitting of the excited-state occupation
+    e^{-beta l} / (1 + e^{-beta l}), which is ln 2 / beta."""
     if beta <= 0:
         raise ValueError("beta must be positive")
-    val, _ = quad(lambda lam: math.exp(-beta * lam) / (1 + math.exp(-beta * lam)),
-                  0, math.inf)
-    return val
+    return math.log(2) / beta
 
 
 @dataclass(frozen=True)
@@ -258,6 +257,8 @@ def first_law_check(rho: DensityOperator, delta: np.ndarray, scale: float) -> Fi
         raise ValueError("rho must be full rank")
     perturbed = DensityOperator(rho.matrix + scale * delta, rho.layout)
     ds = von_neumann_entropy(perturbed, math.e) - von_neumann_entropy(rho, math.e)
+    from scipy.linalg import logm
+
     k = -logm(rho.matrix)
     dk = np.trace((perturbed.matrix - rho.matrix) @ k).real
     return FirstLawReport(ds, float(dk), abs(ds - dk))

@@ -29,10 +29,7 @@ from .linalg import (
     haar_random_unitary,
     layout,
     partial_trace,
-    partial_trace_pure,
-    qubits,
     random_mixed_state,
-    tensor,
     trace_distance,
 )
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -174,6 +175,18 @@ class TestMonteCarloTrials:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert "Warning" not in proc.stderr
+
+
+class TestConcentrateCommand:
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_single_outcome_law_reports_finite_pvalue(self, tmp_path, capsys, p):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"command": "concentrate", "p": p, "n": 10}))
+        code, out = run(["--config", str(cfg), "--trials", "50"], capsys)
+        assert code == 0
+        pvalue = json.loads(out)["results"]["chi2_pvalue"]
+        assert isinstance(pvalue, float) and math.isfinite(pvalue)
+        assert pvalue == 1.0
 
 
 class TestSuiteCommand:
