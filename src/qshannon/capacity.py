@@ -98,7 +98,7 @@ def _rho_objective_factory(channel: KrausChannel, assisted: bool):
     V rho V† (V = sum_k |k> ⊗ K_k) is formed once; tracing it over k gives
     N(rho) and over b gives N_c(rho).  The exact gradient of
     H(N(rho)) - H(N_c(rho)) is V†(log2 N_c(rho) ⊗ I - I ⊗ log2 N(rho))V."""
-    k = np.stack(channel.kraus_ops)
+    k = channel.kraus_ops
     ne, nb, _ = k.shape
     v = k.reshape(ne * nb, -1)
     vh = dagger(v)
@@ -216,7 +216,7 @@ def _chi_objective(channel: KrausChannel, m: int):
     probability logits.  All members go through the channel in one einsum,
     and one stacked eigh gives the entropies and log2 of their outputs and of
     the average output."""
-    k = np.stack(channel.kraus_ops)
+    k = channel.kraus_ops
     kc = k.conj()
     d = channel.dim_in
 

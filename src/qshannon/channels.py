@@ -1,9 +1,17 @@
-"""Quantum channels: Kraus representation, Stinespring dilation, complementary
-channels, a constructor catalog, and degradability certification.
+"""Quantum channels: one Kraus tensor K[k, b, a] per channel, from which the
+action, Stinespring dilation, complementary channel, composition, Choi matrix
+and superoperator are each one reshape or product; a constructor catalog; and
+degrading maps.
 
 Channel equality is always decided on Choi matrices (trace-norm distance),
 which is basis independent and insensitive to the isometric freedom on the
 environment only where it should be.
+
+A degrading map T (T∘N = N_c) has closed forms for amplitude damping and
+erasure.  Otherwise, when N's superoperator is onto, T is unique and computed
+exactly as N_c∘N⁻¹; a None result is then a certificate that N is not
+degradable.  Channels whose superoperator is not onto fall back to a seeded
+numerical search, whose None is evidence only.
 """
 
 from __future__ import annotations
@@ -24,114 +32,113 @@ from .linalg import (
 
 COMPLETENESS_TOL = 1e-10
 CHOI_EQUALITY_TOL = 1e-8
+CHOI_PSD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Completely positive trace-preserving map given by Kraus operators.
+    """Completely positive trace-preserving map given by Kraus operators,
+    held as one complex, C-contiguous tensor kraus_ops[k, b, a].
 
-    `kind`/`params` are optional catalog metadata used by closed-form
-    degradability results and capacity sweeps; they never affect the map.
+    `kraus_ops` may be given as a sequence of (dim_out, dim_in) matrices or as
+    a 3-D array; it is validated once, here.  `kind`/`params` are optional
+    catalog metadata used by closed-form degradability results and capacity
+    sweeps; they never affect the map.
     """
 
-    kraus_ops: tuple[np.ndarray, ...]
+    kraus_ops: np.ndarray
     dim_in: int
     dim_out: int
     kind: Optional[str] = None
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus_ops)
-        object.__setattr__(self, "kraus_ops", ops)
-        if not ops:
-            raise ValueError("need at least one Kraus operator")
-        for k in ops:
-            if k.shape != (self.dim_out, self.dim_in):
-                raise ValueError(f"Kraus shape {k.shape} != ({self.dim_out}, {self.dim_in})")
-        s = sum(dagger(k) @ k for k in ops)
-        if np.max(np.abs(s - np.eye(self.dim_in))) > COMPLETENESS_TOL:
+        try:
+            ops = np.array(self.kraus_ops, dtype=complex, order="C")
+        except ValueError as exc:
+            raise ValueError("Kraus operators must all have one shape") from exc
+        if ops.ndim != 3 or ops.shape[0] == 0:
+            raise ValueError("need a non-empty stack of Kraus operators")
+        if ops.shape[1:] != (self.dim_out, self.dim_in):
+            raise ValueError(f"Kraus shape {ops.shape[1:]} != ({self.dim_out}, {self.dim_in})")
+        v = ops.reshape(-1, self.dim_in)
+        if np.max(np.abs(dagger(v) @ v - np.eye(self.dim_in))) > COMPLETENESS_TOL:
             raise ValueError("Kraus operators do not satisfy the completeness relation")
+        object.__setattr__(self, "kraus_ops", ops)
 
     @property
     def env_dim(self) -> int:
         return len(self.kraus_ops)
 
 
-@dataclass(frozen=True)
-class IsometricDilation:
-    """Isometry V: A -> B otimes E with V = sum_k K_k otimes |k>_E."""
-
-    isometry: np.ndarray
-    dim_b: int
-    dim_e: int
-
-    def __post_init__(self):
-        v = np.asarray(self.isometry, dtype=complex)
-        object.__setattr__(self, "isometry", v)
-        if np.max(np.abs(dagger(v) @ v - np.eye(v.shape[1]))) > COMPLETENESS_TOL:
-            raise ValueError("dilation matrix is not an isometry")
+def _input_matrix(channel: KrausChannel, rho: DensityOperator | np.ndarray) -> np.ndarray:
+    m = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
+    if m.shape[0] != channel.dim_in:
+        raise ValueError(f"input dim {m.shape[0]} != channel dim_in {channel.dim_in}")
+    return m
 
 
 def apply(channel: KrausChannel, rho: DensityOperator | np.ndarray) -> DensityOperator:
     """N(rho) = sum_k K rho K†."""
-    m = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
-    if m.shape[0] != channel.dim_in:
-        raise ValueError(f"input dim {m.shape[0]} != channel dim_in {channel.dim_in}")
-    out = sum(k @ m @ dagger(k) for k in channel.kraus_ops)
+    k = channel.kraus_ops
+    out = (k @ _input_matrix(channel, rho) @ dagger(k)).sum(axis=0)
     return DensityOperator(out, SubsystemLayout((channel.dim_out,), ("B",)))
 
 
-def dilate(channel: KrausChannel) -> IsometricDilation:
-    """Stinespring isometry with output ordered B otimes E and |E| = #Kraus ops."""
-    db, de, da = channel.dim_out, channel.env_dim, channel.dim_in
-    v = np.zeros((db * de, da), dtype=complex)
-    for k_idx, k in enumerate(channel.kraus_ops):
-        for b in range(db):
-            v[b * de + k_idx, :] += k[b, :]
-    return IsometricDilation(v, db, de)
+def dilate(channel: KrausChannel) -> np.ndarray:
+    """Stinespring isometry V: A -> B otimes E, the (|B||E|, |A|) matrix with
+    V[b |E| + k, a] = K_k[b, a], so |E| = #Kraus ops."""
+    return channel.kraus_ops.transpose(1, 0, 2).reshape(
+        channel.dim_out * channel.env_dim, channel.dim_in)
 
 
 def dilate_state(channel: KrausChannel, rho: DensityOperator | np.ndarray) -> DensityOperator:
     """Joint output-environment state V rho V† with layout (B, E)."""
-    m = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
-    if m.shape[0] != channel.dim_in:
-        raise ValueError("dimension mismatch")
-    v = dilate(channel).isometry
+    v = dilate(channel)
     lay = SubsystemLayout((channel.dim_out, channel.env_dim), ("B", "E"))
-    return DensityOperator(v @ m @ dagger(v), lay)
+    return DensityOperator(v @ _input_matrix(channel, rho) @ dagger(v), lay)
 
 
 def complementary(channel: KrausChannel) -> KrausChannel:
     """Map to the environment: trace out B from the dilation.
 
     The complement's Kraus operator for output-basis index b of B is
-    L_b[k, a] = K_k[b, a]."""
-    stack = np.stack(channel.kraus_ops)           # (k, b, a)
-    ops = tuple(stack[:, b, :] for b in range(channel.dim_out))
-    return KrausChannel(ops, channel.dim_in, channel.env_dim,
-                        kind=_complement_kind(channel), params=dict(channel.params))
+    L_b[k, a] = K_k[b, a]: the tensor with axes k and b swapped."""
+    kind = f"{channel.kind}_complement" if channel.kind else None
+    return KrausChannel(channel.kraus_ops.transpose(1, 0, 2), channel.dim_in,
+                        channel.env_dim, kind=kind, params=dict(channel.params))
 
 
-def _complement_kind(channel: KrausChannel) -> Optional[str]:
-    return f"{channel.kind}_complement" if channel.kind else None
+def _compose_ops(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """Kraus tensor of outer after inner: every product A_j K_k, j-major."""
+    prods = outer[:, None] @ inner[None, :]
+    return prods.reshape(-1, *prods.shape[2:])
 
 
 def compose(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
     """outer after inner."""
     if inner.dim_out != outer.dim_in:
         raise ValueError("dimension mismatch in composition")
-    ops = tuple(a @ k for a in outer.kraus_ops for k in inner.kraus_ops)
-    return KrausChannel(ops, inner.dim_in, outer.dim_out)
+    return KrausChannel(_compose_ops(outer.kraus_ops, inner.kraus_ops),
+                        inner.dim_in, outer.dim_out)
+
+
+def _choi(ops: np.ndarray) -> np.ndarray:
+    """sum_k |w_k><w_k| with w_k[(b, a)] = K_k[b, a] / sqrt(|A|)."""
+    w = ops.reshape(len(ops), -1) / np.sqrt(ops.shape[2])
+    return (w[:, :, None] * w.conj()[:, None, :]).sum(axis=0)
 
 
 def choi_matrix(channel: KrausChannel) -> np.ndarray:
     """(N otimes id) applied to the maximally entangled state, ordered B otimes A."""
-    d = channel.dim_in
-    j = np.zeros((channel.dim_out * d, channel.dim_out * d), dtype=complex)
-    for k in channel.kraus_ops:
-        w = k.reshape(-1) / np.sqrt(d)   # amplitude at (b, a) is K[b, a]/sqrt(d)
-        j += np.outer(w, w.conj())
-    return j
+    return _choi(channel.kraus_ops)
+
+
+def _superoperator(ops: np.ndarray) -> np.ndarray:
+    """S with vec(N(rho)) = S vec(rho), for row-major vec:
+    S[(b, d), (a, c)] = sum_k K_k[b, a] conj(K_k[d, c])."""
+    _, db, da = ops.shape
+    return np.einsum("kba,kdc->bdac", ops, ops.conj()).reshape(db * db, da * da)
 
 
 def channels_equal(a: KrausChannel, b: KrausChannel, tol: float = CHOI_EQUALITY_TOL) -> bool:
@@ -183,14 +190,10 @@ def erasure(p: float, d: int = 2) -> KrausChannel:
     _check_prob(p)
     if d < 2:
         raise ValueError("input dimension must be >= 2")
-    keep = np.zeros((d + 1, d), dtype=complex)
-    keep[:d, :] = np.eye(d)
-    ops = [np.sqrt(1 - p) * keep]
-    for i in range(d):
-        e = np.zeros((d + 1, d), dtype=complex)
-        e[d, i] = np.sqrt(p)
-        ops.append(e)
-    return KrausChannel(tuple(ops), d, d + 1, kind="erasure", params={"p": p, "d": d})
+    ops = np.zeros((d + 1, d + 1, d), dtype=complex)
+    ops[0, :d] = np.sqrt(1 - p) * np.eye(d)          # keep the input
+    ops[np.arange(1, d + 1), d, np.arange(d)] = np.sqrt(p)   # |e><i|
+    return KrausChannel(ops, d, d + 1, kind="erasure", params={"p": p, "d": d})
 
 
 def generalized_dephasing(env_overlaps: np.ndarray) -> KrausChannel:
@@ -207,18 +210,13 @@ def generalized_dephasing(env_overlaps: np.ndarray) -> KrausChannel:
         raise ValueError("overlap matrix must be positive semidefinite")
     # columns of m are the environment record states: m†m = G
     m = (vecs * np.sqrt(np.clip(vals, 0, None))) @ dagger(vecs)
-    ops = tuple(np.diag(m[k, :]) for k in range(d))
-    return KrausChannel(ops, d, d, kind="generalized_dephasing")
+    return KrausChannel(m[:, None, :] * np.eye(d), d, d, kind="generalized_dephasing")
 
 
 def completely_dephasing(d: int) -> KrausChannel:
     """Kills all off-diagonal matrix elements in the computational basis."""
-    ops = []
-    for i in range(d):
-        k = np.zeros((d, d), dtype=complex)
-        k[i, i] = 1
-        ops.append(k)
-    return KrausChannel(tuple(ops), d, d, kind="completely_dephasing")
+    ops = np.eye(d)[:, :, None] * np.eye(d)[:, None, :]     # |i><i|
+    return KrausChannel(ops, d, d, kind="completely_dephasing")
 
 
 def cq_channel(basis: np.ndarray, output_states: Sequence[np.ndarray]) -> KrausChannel:
@@ -248,14 +246,10 @@ def from_classical(w: np.ndarray) -> KrausChannel:
     dy, dx = w.shape
     if w.min() < 0 or np.max(np.abs(w.sum(axis=0) - 1)) > 1e-12:
         raise ValueError("transition matrix must be column-stochastic")
-    ops = []
-    for y in range(dy):
-        for x in range(dx):
-            if w[y, x] > 0:
-                k = np.zeros((dy, dx), dtype=complex)
-                k[y, x] = np.sqrt(w[y, x])
-                ops.append(k)
-    return KrausChannel(tuple(ops), dx, dy, kind="classical")
+    ys, xs = np.nonzero(w > 0)
+    ops = np.zeros((len(ys), dy, dx), dtype=complex)
+    ops[np.arange(len(ys)), ys, xs] = np.sqrt(w[ys, xs])     # sqrt(p(y|x)) |y><x|
+    return KrausChannel(ops, dx, dy, kind="classical")
 
 
 def bsc(p: float) -> np.ndarray:
@@ -272,18 +266,11 @@ def _erasure_degrading(p: float, d: int) -> KrausChannel:
     """Closed-form degrading map for erasure(p <= 1/2): a q-erasure from B into
     the complement's index convention (flag at index 0, message shifted up)."""
     q = (1 - 2 * p) / (1 - p)
-    shift = np.zeros((d + 1, d + 1), dtype=complex)
-    for i in range(d):
-        shift[1 + i, i] = np.sqrt(1 - q)
-    ops = [shift]
-    for j in range(d):
-        e = np.zeros((d + 1, d + 1), dtype=complex)
-        e[0, j] = np.sqrt(q)
-        ops.append(e)
-    flag = np.zeros((d + 1, d + 1), dtype=complex)
-    flag[0, d] = 1
-    ops.append(flag)
-    return KrausChannel(tuple(ops), d + 1, d + 1, kind="erasure_degrading",
+    ops = np.zeros((d + 2, d + 1, d + 1), dtype=complex)
+    ops[0, 1:, :d] = np.sqrt(1 - q) * np.eye(d)               # shift the message up
+    ops[np.arange(1, d + 1), 0, np.arange(d)] = np.sqrt(q)    # erase it to |0>
+    ops[d + 1, 0, d] = 1                                      # flag -> |0>
+    return KrausChannel(ops, d + 1, d + 1, kind="erasure_degrading",
                         params={"q": q, "d": d})
 
 
@@ -292,25 +279,23 @@ def _search_degrading(channel: KrausChannel, restarts: int = 10,
     """Numerical search for T with T∘N = N_c, over Stinespring isometries of
     the candidate degrading map.  Returns None when no candidate reaches the
     residual tolerance."""
-    comp = complementary(channel)
-    target = choi_matrix(comp)
+    k = channel.kraus_ops
+    target = choi_matrix(complementary(channel))
     db, de = channel.dim_out, channel.env_dim
     env = de  # rank budget for the degrading map
     nrow = de * env
 
-    def kraus_from(x: np.ndarray) -> list[np.ndarray]:
+    def kraus_from(x: np.ndarray) -> np.ndarray:
         z = (x[: nrow * db] + 1j * x[nrow * db:]).reshape(nrow, db)
         # project onto the isometry manifold so the candidate is always CPTP
         gram = dagger(z) @ z
         vals, vecs = np.linalg.eigh(gram)
         inv_sqrt = (vecs * (1 / np.sqrt(np.clip(vals, 1e-12, None)))) @ dagger(vecs)
         w = z @ inv_sqrt
-        return [w.reshape(de, env, db)[:, k, :] for k in range(env)]
+        return w.reshape(de, env, db).transpose(1, 0, 2)
 
     def objective(x: np.ndarray) -> float:
-        ops = kraus_from(x)
-        t = KrausChannel(tuple(ops), db, de)
-        diff = choi_matrix(compose(t, channel)) - target
+        diff = _choi(_compose_ops(kraus_from(x), k)) - target
         return float(np.sum(np.abs(diff) ** 2))
 
     best = None
@@ -325,17 +310,38 @@ def _search_degrading(channel: KrausChannel, restarts: int = 10,
             best = res.x
     if best is None:
         return None
-    t = KrausChannel(tuple(kraus_from(best)), db, de)
+    t = KrausChannel(kraus_from(best), db, de)
     residual = trace_distance(choi_matrix(compose(t, channel)), target)
     return t if residual <= residual_tol else None
+
+
+def _exact_degrading(channel: KrausChannel, s_n: np.ndarray) -> Optional[KrausChannel]:
+    """The unique T with T∘N = N_c for a channel whose superoperator S_N is
+    onto: S_T = S_c S_N⁺ (Cubitt-Ruskai-Smith, arXiv:0802.1360).  None when
+    T∘N = N_c has no solution or Choi(T) has an eigenvalue below
+    -CHOI_PSD_TOL, either of which certifies that N is not degradable."""
+    db, de = channel.dim_out, channel.env_dim
+    s_c = _superoperator(channel.kraus_ops.transpose(1, 0, 2))
+    s_t = s_c @ np.linalg.pinv(s_n)
+    if np.max(np.abs(s_t @ s_n - s_c)) > COMPLETENESS_TOL:
+        return None
+    # reshuffle S_T[(e, f), (b, c)] into the trace-one Choi[(e, b), (f, c)]
+    choi = s_t.reshape(de, de, db, db).transpose(0, 2, 1, 3).reshape(de * db, de * db) / db
+    vals, vecs = np.linalg.eigh((choi + dagger(choi)) / 2)
+    if vals[0] < -CHOI_PSD_TOL:
+        return None
+    keep = vals > CHOI_PSD_TOL
+    ops = (vecs[:, keep] * np.sqrt(db * vals[keep])).T.reshape(-1, de, db)
+    return KrausChannel(ops, db, de)
 
 
 def degrading_map(channel: KrausChannel) -> Optional[KrausChannel]:
     """T with T∘N = N_c (Choi distance <= 1e-8 for closed forms), or None.
 
-    Closed forms cover amplitude damping and erasure at p <= 1/2; anything
-    else falls back to a seeded numerical search.  A None result is evidence
-    of non-degradability, not a certificate."""
+    Closed forms cover amplitude damping and erasure at p <= 1/2.  Otherwise,
+    when N's superoperator is onto, T is computed exactly and None certifies
+    non-degradability (`_exact_degrading`); the remaining channels fall back
+    to a seeded numerical search, whose None is evidence, not a certificate."""
     if channel.kind == "amplitude_damping":
         p = channel.params["p"]
         if p <= 0.5:
@@ -346,6 +352,9 @@ def degrading_map(channel: KrausChannel) -> Optional[KrausChannel]:
         if p <= 0.5:
             return _erasure_degrading(p, d)
         return None
+    s_n = _superoperator(channel.kraus_ops)
+    if np.linalg.matrix_rank(s_n) == channel.dim_out ** 2:
+        return _exact_degrading(channel, s_n)
     return _search_degrading(channel)
 
 

@@ -357,6 +357,9 @@ def main(argv=None) -> int:
 
     seed = args.seed if args.seed is not None else cfg.get("seed")
     trials = args.trials if args.trials is not None else cfg.get("trials")
+    if trials is not None and (type(trials) is not int or trials < 1):
+        print(f"error: trials must be a positive integer, got {trials!r}", file=sys.stderr)
+        return 2
     tol = args.tol if args.tol is not None else cfg.get("tol")
     fmt = args.fmt or cfg.get("format") or "json"
     out = args.out or cfg.get("out")

@@ -125,12 +125,15 @@ def _swap_operator(d: int) -> np.ndarray:
     return np.eye(d * d).reshape(d, d, d * d).transpose(1, 0, 2).reshape(d * d, d * d)
 
 
-def _partial_swap(d1: int, d2: int) -> np.ndarray:
-    """I on the A1 copies tensor swap on the A2 copies, over (A, A'):
-    |a1 a2, b1 b2> -> |a1 b2, b1 a2>."""
+def _partial_swap(d1: int, d2: int, factor: int = 1) -> np.ndarray:
+    """Swap of one tensor factor of A = A1 A2 between the copies (A, A'),
+    identity on the other: for factor 1 (A2), |a1 a2, b1 b2> -> |a1 b2, b1 a2>;
+    for factor 0 (A1), |a1 a2, b1 b2> -> |b1 a2, a1 b2>."""
     d = d1 * d2
+    axes = [0, 1, 2, 3]
+    axes[factor], axes[factor + 2] = factor + 2, factor
     rows = np.eye(d * d).reshape(d1, d2, d1, d2, d * d)
-    return rows.transpose(0, 3, 2, 1, 4).reshape(d * d, d * d)
+    return rows.transpose(*axes, 4).reshape(d * d, d * d)
 
 
 @dataclass
@@ -185,30 +188,10 @@ def moment_constants(d1: int, d2: int) -> tuple[float, float, float, float]:
 def swap_trick_purity(rho: DensityOperator, keep: str) -> float:
     """tr(sigma_keep^2) via the doubled-system swap identity
     tr[(rho x rho)(I x SWAP_keep)]."""
-    labels = rho.layout.labels
-    if len(labels) != 2:
+    if len(rho.layout.labels) != 2:
         raise ValueError("need a two-factor layout")
-    other = [lb for lb in labels if lb != keep][0]
-    d_keep = rho.layout.dims[rho.layout.index(keep)]
-    d_other = rho.layout.dims[rho.layout.index(other)]
-    first = labels.index(keep) == 0
-    dims = rho.layout.dims
-    doubled = np.kron(rho.matrix, rho.matrix)
-    d = rho.dim
-    # operator acting as swap on the two `keep` copies, identity elsewhere
-    op = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            if first:
-                k1, o1 = divmod(i, dims[1])
-                k2, o2 = divmod(j, dims[1])
-                row = (k2 * dims[1] + o1) * d + (k1 * dims[1] + o2)
-            else:
-                o1, k1 = divmod(i, dims[1])
-                o2, k2 = divmod(j, dims[1])
-                row = (o1 * dims[1] + k2) * d + (o2 * dims[1] + k1)
-            op[row, i * d + j] = 1.0
-    return float(np.trace(op @ doubled).real)
+    op = _partial_swap(*rho.layout.dims, rho.layout.index(keep))
+    return float(np.trace(op @ np.kron(rho.matrix, rho.matrix)).real)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +210,7 @@ def projected_decoupling_experiment(psi_ra, channel: KrausChannel, d_r2: int,
     if d_r % d_r2 != 0:
         raise ValueError("d_r2 must divide |R|")
     d_r1 = d_r // d_r2
-    v_dil = dilate(channel).isometry
+    v_dil = dilate(channel)
     d_b, d_e = channel.dim_out, channel.env_dim
     if d_r * d_b * d_e > 2 ** 12:
         raise ValueError("dimension guard exceeded")

@@ -282,8 +282,10 @@ class ProtocolRates:
     mother_ebits: float      # (1/2) I(A;B)
     hashing: float           # I_c(A>B) = H(B) - H(E)
     merging: float           # H(A|B)
-    noisy_sd: float          # I(A;B) cbits per (A;E)/2 qubits + ... bookkeeping
-    noisy_tp: float
+    noisy_sd: float          # superdense coding: consumes H(A) qubits,
+                             # produces I(A;B) cbits
+    noisy_tp: float          # teleportation: consumes I(A;B) cbits, produces
+                             # I(A>B) = H(B) - H(E) qubits
 
 
 def protocol_rates(phi: PureState | DensityOperator, a: str, b: str, e: str) -> ProtocolRates:
@@ -312,5 +314,5 @@ def protocol_rates(phi: PureState | DensityOperator, a: str, b: str, e: str) -> 
         hashing=hashing,
         merging=merging,
         noisy_sd=i_ab,
-        noisy_tp=i_ab,
+        noisy_tp=hashing,
     )

@@ -304,8 +304,7 @@ def check_entropy_inequalities(instances: int = 500) -> CheckResult:
 def _random_channel(rng, d: int, n_kraus: int) -> ch.KrausChannel:
     """Random CPTP map from a Haar isometry d -> d * n_kraus."""
     q = haar_isometry(d * n_kraus, d, rng)
-    ops = tuple(q.reshape(d, n_kraus, d)[:, k, :] for k in range(n_kraus))
-    return ch.KrausChannel(ops, d, d)
+    return ch.KrausChannel(q.reshape(d, n_kraus, d).transpose(1, 0, 2), d, d)
 
 
 def check_relative_entropy_monotonicity(instances: int = 200) -> CheckResult:
@@ -400,16 +399,6 @@ def check_holevo_bound(instances: int = 200) -> CheckResult:
         gap = mea.accessible_info(ensemble, povm) - ent.holevo_chi(ensemble)
         worst = max(worst, gap)
     return CheckResult("holevo_bound", worst <= 1e-9, {"max_gap": worst})
-
-
-def check_inequality_corpus() -> CheckResult:
-    """Aggregate of the randomized-corpus inequality checks."""
-    parts = [check_ssa_corpus(), check_entropy_inequalities(),
-             check_relative_entropy_monotonicity(), check_entropic_uncertainty(),
-             check_separable_majorization(), check_fano(), check_holevo_bound()]
-    ok = all(p.passed for p in parts)
-    return CheckResult("inequality_corpus", ok,
-                       {p.name: p.passed for p in parts})
 
 
 # ---------------------------------------------------------------------------

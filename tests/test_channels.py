@@ -13,6 +13,7 @@ from qshannon.linalg import (
     qubits,
     trace_distance,
 )
+from qshannon.suites import _random_channel
 
 
 class TestKrausValidation:
@@ -24,9 +25,94 @@ class TestKrausValidation:
         with pytest.raises(ValueError):
             ch.KrausChannel((np.eye(3),), 2, 2)
 
+    def test_tuple_and_tensor_inputs_agree(self):
+        ops = ch.depolarizing(0.2).kraus_ops
+        from_tuple = ch.KrausChannel(tuple(ops), 2, 2)
+        from_tensor = ch.KrausChannel(ops, 2, 2)
+        for channel in (from_tuple, from_tensor):
+            assert channel.kraus_ops.shape == (4, 2, 2)
+            assert channel.kraus_ops.dtype == complex
+            assert channel.kraus_ops.flags.c_contiguous
+            assert np.array_equal(channel.kraus_ops, ops)
+
+    @pytest.mark.parametrize("ops", [(), np.zeros((0, 2, 2)), np.eye(2)],
+                             ids=["empty_tuple", "empty_tensor", "bare_matrix"])
+    def test_empty_or_flat_input_rejected(self, ops):
+        with pytest.raises(ValueError):
+            ch.KrausChannel(ops, 2, 2)
+
+    def test_ragged_operators_rejected(self):
+        with pytest.raises(ValueError):
+            ch.KrausChannel((np.eye(2), np.zeros((3, 2))), 2, 2)
+
     def test_env_dim_counts_operators(self):
         assert ch.depolarizing(0.1).env_dim == 4
         assert ch.amplitude_damping(0.1).env_dim == 2
+
+
+def loop_apply(channel, m):
+    """Kraus action summed operator by operator."""
+    return sum(k @ m @ k.conj().T for k in channel.kraus_ops)
+
+
+def loop_dilate(channel):
+    db, de, da = channel.dim_out, channel.env_dim, channel.dim_in
+    v = np.zeros((db * de, da), dtype=complex)
+    for k_idx, k in enumerate(channel.kraus_ops):
+        for b in range(db):
+            v[b * de + k_idx, :] += k[b, :]
+    return v
+
+
+def loop_choi(channel):
+    d = channel.dim_in
+    j = np.zeros((channel.dim_out * d, channel.dim_out * d), dtype=complex)
+    for k in channel.kraus_ops:
+        w = k.reshape(-1) / np.sqrt(d)
+        j += np.outer(w, w.conj())
+    return j
+
+
+def loop_compose(outer, inner):
+    return np.array([a @ k for a in outer.kraus_ops for k in inner.kraus_ops])
+
+
+def loop_complementary(channel):
+    return np.array([np.array([k[b, :] for k in channel.kraus_ops])
+                     for b in range(channel.dim_out)])
+
+
+def oracle_channels():
+    catalog = [ch.identity_channel(3), ch.depolarizing(0.1), ch.amplitude_damping(0.3),
+               ch.erasure(0.3, 3), ch.completely_dephasing(3),
+               ch.generalized_dephasing(np.array([[1.0, 0.6], [0.6, 1.0]])),
+               ch.from_classical(np.array([[0.8, 0.3], [0.2, 0.7]])),
+               ch.cq_channel(np.eye(2), [np.diag([0.7, 0.3]), np.diag([0.2, 0.8])])]
+    rand = []
+    for i in range(40):
+        rng = stream(431, i)
+        rand.append(_random_channel(rng, int(rng.integers(2, 4)), int(rng.integers(2, 5))))
+    return catalog + rand
+
+
+class TestTensorAgainstLoops:
+    """The one-tensor forms against the per-operator loops they replaced."""
+
+    def test_apply_dilate_complementary_bit_identical(self):
+        for i, channel in enumerate(oracle_channels()):
+            rho = random_state((channel.dim_in,), "A", 433, index=i).matrix
+            assert np.array_equal(ch.apply(channel, rho).matrix, loop_apply(channel, rho))
+            assert np.array_equal(ch.dilate(channel), loop_dilate(channel))
+            assert np.array_equal(ch.complementary(channel).kraus_ops,
+                                  loop_complementary(channel))
+
+    def test_choi_and_compose(self):
+        for channel in oracle_channels():
+            assert np.max(np.abs(ch.choi_matrix(channel) - loop_choi(channel))) <= 1e-15
+            outer = ch.depolarizing(0.2) if channel.dim_out == 2 else ch.identity_channel(
+                channel.dim_out)
+            both = ch.compose(outer, channel)
+            assert np.max(np.abs(both.kraus_ops - loop_compose(outer, channel))) <= 1e-15
 
 
 class TestApplyAndDilate:
@@ -36,7 +122,7 @@ class TestApplyAndDilate:
         assert trace_distance(out.matrix, rho.matrix) < 1e-12
 
     def test_dilation_is_isometry(self):
-        v = ch.dilate(ch.depolarizing(0.3)).isometry
+        v = ch.dilate(ch.depolarizing(0.3))
         assert np.max(np.abs(v.conj().T @ v - np.eye(2))) < 1e-10
 
     def test_dilated_state_marginals(self):
@@ -177,6 +263,43 @@ class TestDegradability:
     def test_is_degradable(self):
         assert ch.is_degradable(ch.amplitude_damping(0.2))
         assert not ch.is_degradable(ch.amplitude_damping(0.8))
+
+    @pytest.fixture
+    def no_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the numerical search ran")
+        monkeypatch.setattr(ch, "_search_degrading", refuse)
+
+    def test_exact_map_matches_amplitude_damping_closed_form(self, no_search):
+        p = 0.3
+        bare = ch.KrausChannel(ch.amplitude_damping(p).kraus_ops, 2, 2)
+        t = ch.degrading_map(bare)
+        closed = ch.degrading_map(ch.amplitude_damping(p))
+        assert np.max(np.abs(ch.choi_matrix(t) - ch.choi_matrix(closed))) <= 1e-12
+
+    @pytest.mark.parametrize("channel", [
+        ch.KrausChannel(ch.amplitude_damping(0.6).kraus_ops, 2, 2),
+        ch.depolarizing(0.1), ch.depolarizing(0.3)], ids=["ad_0.6", "dep_0.1", "dep_0.3"])
+    def test_exact_map_certifies_non_degradable(self, no_search, channel):
+        assert ch.degrading_map(channel) is None
+        assert not ch.is_degradable(channel)
+
+    def test_exact_map_on_dephasing(self, no_search):
+        channel = ch.generalized_dephasing(np.array([[1.0, 0.6], [0.6, 1.0]]))
+        t = ch.degrading_map(channel)
+        assert trace_distance(ch.choi_matrix(ch.compose(t, channel)),
+                              ch.choi_matrix(ch.complementary(channel))) <= 1e-8
+
+    def test_search_runs_when_superoperator_is_not_onto(self, monkeypatch):
+        calls = []
+        search = ch._search_degrading
+        monkeypatch.setattr(ch, "_search_degrading",
+                            lambda channel: calls.append(channel) or search(channel))
+        channel = ch.completely_dephasing(2)
+        t = ch.degrading_map(channel)
+        assert len(calls) == 1
+        assert trace_distance(ch.choi_matrix(ch.compose(t, channel)),
+                              ch.choi_matrix(ch.complementary(channel))) < 1e-6
 
     def test_numerical_search_on_dephasing(self):
         # generalized dephasing is degradable; the search has no closed form here

@@ -177,6 +177,27 @@ class TestMonteCarloTrials:
         assert "Warning" not in proc.stderr
 
 
+    @pytest.mark.parametrize("command", ["concentrate", "measure", "decouple", "blackhole"])
+    @pytest.mark.parametrize("flag,config_trials", [
+        ("0", None), ("-5", None), (None, 0), (None, -1), (None, True), (None, 2.5),
+        (None, "10"),
+    ], ids=["flag_0", "flag_negative", "config_0", "config_negative", "config_bool",
+            "config_float", "config_string"])
+    def test_bad_trials_is_usage_error(self, tmp_path, capsys, command, flag, config_trials):
+        config = {"command": command, "example": "haar_gain", "n": 4,
+                  "dims": {"A1": 2, "A2": 2}}
+        if config_trials is not None:
+            config["trials"] = config_trials
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["--config", str(cfg)] + (["--trials", flag] if flag else [])
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: trials") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
 class TestConcentrateCommand:
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_single_outcome_law_reports_finite_pvalue(self, tmp_path, capsys, p):

@@ -24,6 +24,26 @@ def basis_pure(d, label="A"):
     return DensityOperator(m, SubsystemLayout((d,), (label,)))
 
 
+
+def loop_keep_swap(dims, first):
+    """The per-element loop that built swap_trick_purity's operator: SWAP on
+    the two copies of the kept factor (the first or second), identity on the
+    other."""
+    d = dims[0] * dims[1]
+    op = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            if first:
+                k1, o1 = divmod(i, dims[1])
+                k2, o2 = divmod(j, dims[1])
+                row = (k2 * dims[1] + o1) * d + (k1 * dims[1] + o2)
+            else:
+                o1, k1 = divmod(i, dims[1])
+                o2, k2 = divmod(j, dims[1])
+                row = (o1 * dims[1] + k2) * d + (o2 * dims[1] + k1)
+            op[row, i * d + j] = 1.0
+    return op
+
 class TestBoundAndExperiment:
     def test_bound_formula(self):
         sigma = basis_pure(8)
@@ -79,6 +99,15 @@ class TestMoments:
         for keep in ("A", "B"):
             direct = partial_trace(rho, [keep]).purity()
             assert dec.swap_trick_purity(rho, keep) == pytest.approx(direct, abs=1e-10)
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
+    def test_swap_trick_operator_matches_loop(self, dims):
+        rho = random_mixed_state(SubsystemLayout(dims, ("A", "B")), stream(17, 1))
+        for factor, keep in enumerate(("A", "B")):
+            op = loop_keep_swap(dims, factor == 0)
+            assert np.array_equal(dec._partial_swap(*dims, factor), op)
+            assert dec.swap_trick_purity(rho, keep) == float(
+                np.trace(op @ np.kron(rho.matrix, rho.matrix)).real)
 
 
 class TestProjectedDecoupling:

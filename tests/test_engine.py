@@ -107,7 +107,7 @@ def loop_projected(psi_ra, channel, d_r2, trials, seed):
     lay = psi_ra.layout
     d_r = lay.dims[lay.index("R")]
     d_r1 = d_r // d_r2
-    v_dil = dilate(channel).isometry
+    v_dil = dilate(channel)
     d_b, d_e = channel.dim_out, channel.env_dim
     amps = psi_ra.amplitudes.reshape(d_r, channel.dim_in)
     phi = (amps @ v_dil.T).reshape(d_r, d_b, d_e)

@@ -230,6 +230,15 @@ class TestProtocolRates:
         assert r.mother_qubits == pytest.approx(0.0, abs=1e-9)
         assert r.hashing == pytest.approx(1.0)         # H(B) - H(E)
         assert r.merging == pytest.approx(-1.0)        # H(A|B)
+        assert r.noisy_sd == pytest.approx(2.0)        # I(A;B) cbits produced
+        assert r.noisy_tp == pytest.approx(1.0)        # I(A>B) qubits produced
+
+    def test_product_pure_state_has_no_rates(self):
+        v = np.zeros(8)
+        v[0] = 1.0                                     # |000>_ABE
+        r = protocol_rates(PureState(v, qubits("ABE")), "A", "B", "E")
+        for name, value in vars(r).items():
+            assert value == pytest.approx(0.0, abs=1e-9), name
 
     def test_requires_pure_state(self):
         rho = tensor(random_state((2,), "A", 79), random_state((2,), "B", 83),
@@ -247,7 +256,7 @@ class TestProtocolRates:
         channel = amplitude_damping(0.2)
         psi = purify(rho, "R")                       # layout (A, R)
         d_r = psi.layout.dims[1]
-        v = dilate(channel).isometry                 # (B x E) <- A
+        v = dilate(channel)                          # (B x E) <- A
         amps_ar = psi.amplitudes.reshape(2, d_r)
         out = amps_ar.T @ v.T                        # (r, be)
         phi = PureState(out.reshape(-1),
