@@ -5,6 +5,17 @@ coding simulators, generalized measurements, and decoupling experiments.
 
 __version__ = "0.1.0"
 
+import os
+import sys
+
+# QSHANNON_THREADS caps BLAS threads.  BLAS reads its variables once, when
+# numpy loads; set later, they would misstate its threads, and
+# `_rng.shard_workers` sizes its worker count from them.
+if os.environ.get("QSHANNON_THREADS") and "numpy" not in sys.modules:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "NUMEXPR_NUM_THREADS"):
+        os.environ.setdefault(_var, os.environ["QSHANNON_THREADS"])
+
 from .linalg import (  # noqa: F401
     DensityOperator,
     PureState,

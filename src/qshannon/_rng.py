@@ -1,9 +1,20 @@
-"""Counter-based random number streams.
+"""Counter-based random number streams, and the trial loop of the Monte
+Carlo experiments.
 
 Every stochastic routine in the package draws from a Philox stream keyed by
 (seed, stream index).  Trial t of a Monte Carlo run uses stream(seed, t), so
-results are reproducible regardless of how trials are batched or sharded.
+per-trial results do not depend on how the trials are batched into chunks
+(`trial_chunks`) or sharded across processes (`run_trials`), at a fixed
+BLAS thread setting.
 """
+
+import multiprocessing
+# a fork pool's first start imports these two; load them with the package
+import multiprocessing.popen_fork  # noqa: F401
+import multiprocessing.synchronize  # noqa: F401
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -12,6 +23,15 @@ _KEY_MASK = 0xFFFFFFFFFFFFFFFF
 # bound on the complex entries of one stacked per-trial array in a chunk of
 # trials; a trial larger than this runs alone
 CHUNK_ENTRIES = 2 ** 12
+
+# a run is sharded across forked workers only when one trial's largest
+# stacked array has at least this many complex entries (the 512 x 512 QR);
+# below it a pool's start-up costs more than it saves
+SHARD_ENTRIES = 2 ** 18
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_CAN_SHARD = ("fork" in multiprocessing.get_all_start_methods()
+             and hasattr(os, "sched_getaffinity"))
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
@@ -44,13 +64,63 @@ def normal_pairs(seed: int, start: int, stop: int,
     return re, im
 
 
-def trial_chunks(trials: int, entries: int):
-    """Contiguous trial ranges [a, b) that cover range(trials).  A chunk holds
-    as many trials as keep a stacked array of `entries` complex entries per
-    trial within CHUNK_ENTRIES, and at least one."""
+def trial_chunks(stop: int, entries: int, start: int = 0):
+    """Contiguous trial ranges [a, b) that cover range(start, stop).  A chunk
+    holds as many trials as keep a stacked array of `entries` complex entries
+    per trial within CHUNK_ENTRIES, and at least one."""
     step = max(1, CHUNK_ENTRIES // entries)
-    for a in range(0, trials, step):
-        yield a, min(a + step, trials)
+    for a in range(start, stop, step):
+        yield a, min(a + step, stop)
+
+
+def _blas_threads(cpus: int) -> int:
+    """Threads each BLAS call may use: the first positive integer among the
+    BLAS thread variables, else every CPU (the BLAS default)."""
+    for var in _BLAS_VARS:
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return cpus
+
+
+def shard_workers(trials: int, entries: int) -> int:
+    """Forked worker processes for a run of `trials` trials whose largest
+    stacked per-trial array has `entries` complex entries; 1 means in process.
+
+    Workers times BLAS threads never exceeds the CPUs this process may run
+    on, so with BLAS left at its default (every CPU) nothing is sharded.  A
+    run is kept in process below SHARD_ENTRIES, where fork is unavailable,
+    while another Python thread is alive (fork copies no thread but the
+    caller's), and inside a worker (which may not fork again)."""
+    if (entries < SHARD_ENTRIES or not _CAN_SHARD or threading.active_count() > 1
+            or multiprocessing.current_process().daemon):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    return max(1, min(trials, cpus // _blas_threads(cpus)))
+
+
+def run_trials(kernel, trials: int, entries: int, *args) -> np.ndarray:
+    """kernel(*args, 0, trials), where kernel(*args, lo, hi) returns an array
+    whose last axis holds trials lo..hi-1 and `entries` is its largest
+    stacked per-trial array.
+
+    When `shard_workers` gives more than one worker, [0, trials) is split
+    into one contiguous range per worker, each range runs in a forked
+    worker, and the ranges' arrays are joined in trial order.  Since trial t
+    draws from stream(seed, t), the result is bit-identical to the
+    in-process call.  The kernel must be a module-level function; the pool
+    lives only for this call.  Validate the arguments before calling: an
+    exception raised in a worker is raised again here."""
+    workers = shard_workers(trials, entries)
+    if workers == 1:
+        return kernel(*args, 0, trials)
+    bounds = [trials * i // workers for i in range(workers + 1)]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        parts = [pool.submit(kernel, *args, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        return np.concatenate([part.result() for part in parts], axis=-1)
 
 
 def check_trials(trials: int) -> None:

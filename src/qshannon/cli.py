@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from importlib import resources
@@ -21,15 +20,6 @@ COMMANDS = ("entropy", "capacity", "compress", "concentrate", "measure",
 
 class UsageError(Exception):
     pass
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("QSHANNON_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 def parse_matrix(entries):
@@ -322,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
 
@@ -359,6 +348,9 @@ def main(argv=None) -> int:
     trials = args.trials if args.trials is not None else cfg.get("trials")
     if trials is not None and (type(trials) is not int or trials < 1):
         print(f"error: trials must be a positive integer, got {trials!r}", file=sys.stderr)
+        return 2
+    if seed is not None and type(seed) is not int:
+        print(f"error: seed must be an integer, got {seed!r}", file=sys.stderr)
         return 2
     tol = args.tol if args.tol is not None else cfg.get("tol")
     fmt = args.fmt or cfg.get("format") or "json"

@@ -8,8 +8,12 @@ Haar isometries or states come from one stacked draw and one stacked QR
 (`linalg.haar_isometries`, `linalg.haar_states`), and the contractions,
 `eigvalsh` and entropies are stacked over the chunk.  Each trial's value is
 bit-identical to drawing it alone from stream(seed, t), whatever the chunk
-size.  L1 distances are computed exactly from eigenvalues of the Hermitian
-difference.
+size.  The trial loops of the black-hole mirror and of
+`decoupling_experiment` are range kernels run through `_rng.run_trials`,
+which shards large trials (the old hole from n = 9 up, |A||E| >= 512)
+across forked workers over contiguous trial ranges; the joined per-trial
+values equal the in-process ones bit for bit.  L1 distances are computed
+exactly from eigenvalues of the Hermitian difference.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rng import as_generator, check_trials, trial_chunks
+from ._rng import as_generator, check_trials, run_trials, trial_chunks
 from .channels import KrausChannel, dilate
 from .entropy import row_entropies
 from .linalg import (
@@ -88,30 +92,41 @@ def decoupling_bound(sigma_ae: DensityOperator, split: tuple[int, int]) -> float
     return math.sqrt(d2 * de / d1 * purity(sigma_ae.matrix))
 
 
-def decoupling_experiment(t: DecouplingTrialSet) -> DecouplingReport:
-    """Estimate E_U || sigma_{A2 E}(U) - I/|A2| x sigma_E ||_1 for Haar U on A."""
-    sigma = t.sigma_ae
-    da = sigma.layout.dims[0]
-    de = sigma.layout.dims[1] if len(sigma.layout.dims) > 1 else 1
-    if da * de > DIM_GUARD:
-        raise ValueError(f"total dimension {da * de} exceeds guard {DIM_GUARD}")
-    d1, d2 = t.split
-    has_e = len(sigma.layout.dims) > 1
-    if has_e:
-        sigma_e = partial_trace(sigma, ["E"]).matrix
-    else:
-        sigma_e = np.array([[1.0]], dtype=complex)
-    target = np.kron(np.eye(d2) / d2, sigma_e)
-    m = sigma.matrix
-    vals = np.empty(t.trials)
-    for a, b in trial_chunks(t.trials, (da * de) ** 2):
-        u = haar_isometries(t.seed, a, b, da, da)
-        big_u = np.kron(u, np.eye(de)) if has_e else u    # kron of each matrix in the stack
+def _decoupling_trials(m: np.ndarray, target: np.ndarray, split: tuple[int, int], de: int,
+                       seed: int, lo: int, hi: int) -> np.ndarray:
+    """Per-trial distances of trials lo..hi-1: the run_trials kernel of
+    decoupling_experiment."""
+    d1, d2 = split
+    da = d1 * d2
+    vals = np.empty(hi - lo)
+    for a, b in trial_chunks(hi, (da * de) ** 2, lo):
+        u = haar_isometries(seed, a, b, da, da)
+        big_u = np.kron(u, np.eye(de)) if de > 1 else u    # kron of each matrix in the stack
         rotated = big_u @ m @ dagger(big_u)
         # trace out A1 (the leading tensor factor of A)
         r = rotated.reshape(b - a, d1, d2 * de, d1, d2 * de)
         kept = np.einsum("niaib->nab", r)
-        vals[a:b] = _l1(kept, target)
+        vals[a - lo:b - lo] = _l1(kept, target)
+    return vals
+
+
+def decoupling_experiment(t: DecouplingTrialSet) -> DecouplingReport:
+    """Estimate E_U || sigma_{A2 E}(U) - I/|A2| x sigma_E ||_1 for Haar U on A.
+    Trials of |A||E| >= 512 are large enough to be sharded (`_rng.run_trials`)."""
+    sigma = t.sigma_ae
+    da = sigma.layout.dims[0]
+    has_e = len(sigma.layout.dims) > 1
+    de = sigma.layout.dims[1] if has_e else 1
+    if da * de > DIM_GUARD:
+        raise ValueError(f"total dimension {da * de} exceeds guard {DIM_GUARD}")
+    if has_e:
+        sigma_e = partial_trace(sigma, ["E"]).matrix
+    else:
+        sigma_e = np.array([[1.0]], dtype=complex)
+    d2 = t.split[1]
+    target = np.kron(np.eye(d2) / d2, sigma_e)
+    vals = run_trials(_decoupling_trials, t.trials, (da * de) ** 2,
+                      sigma.matrix, target, t.split, de, t.seed)
     bound = decoupling_bound(sigma, t.split)
     return DecouplingReport(float(vals.mean()), bound, vals, _stderr(vals))
 
@@ -247,6 +262,7 @@ class MirrorReport:
     mean_l1: float
     mc_stderr: float
     emitted_qubits: int
+    per_trial: np.ndarray
 
     def meets_target(self, slack_sigmas: float = 4.0) -> bool:
         return self.fidelity_estimate >= self.target - slack_sigmas * self.mc_stderr
@@ -293,33 +309,50 @@ def _mirror_l1_young(iso: np.ndarray, n: int, k: int, kp: int) -> np.ndarray:
     return np.abs(evals - 1.0 / d).sum(axis=-1)
 
 
+def _mirror_shape(n: int, k: int, kps: list[int], age: str) -> tuple[int, int]:
+    """(columns of each trial's Haar isometry, complex entries of the largest
+    per-trial array: the draw, or a margin's marginal on the kept qubits and A)."""
+    cols = 2 ** n if age == "old" else 2 ** k
+    return cols, max([2 ** n * cols] + [4 ** (n - kp + k) for kp in kps])
+
+
+def _mirror_trials(n: int, k: int, kps: list[int], age: str, seed: int,
+                   lo: int, hi: int) -> np.ndarray:
+    """Per-trial distances of trials lo..hi-1, shape (len(kps), hi - lo): the
+    run_trials kernel of black_hole_mirror_batch."""
+    cols, entries = _mirror_shape(n, k, kps, age)
+    mirror_l1 = _mirror_l1_old if age == "old" else _mirror_l1_young
+    per_c = np.empty((len(kps), hi - lo))
+    for a, b in trial_chunks(hi, entries, lo):
+        iso = haar_isometries(seed, a, b, 2 ** n, cols)
+        for j, kp in enumerate(kps):
+            per_c[j, a - lo:b - lo] = mirror_l1(iso, n, k, kp)
+    return per_c
+
+
 def black_hole_mirror_batch(n: int, k: int, cs: Sequence[int], age: str,
                             trials: int, seed: int) -> list[MirrorReport]:
     """Mirror experiments for several emission margins c, sharing the Haar
     sample of each trial across margins (identical per-c results to separate
-    runs with the same seed, at a fraction of the cost)."""
+    runs with the same seed, at a fraction of the cost).  Old-hole trials
+    from n = 9 up are large enough to be sharded (`_rng.run_trials`)."""
     check_trials(trials)
+    if n < 1 or k < 0:
+        raise ValueError(f"need n >= 1 hole qubits and k >= 0 infalling qubits, got n={n}, k={k}")
+    if any(c < 0 for c in cs):
+        raise ValueError(f"emission margins c must be >= 0, got {list(cs)}")
     if n + k > 15:
         raise ValueError("state-vector guard: n + k <= 15 qubits")
     kps = [_emitted_count(n, k, c, age) for c in cs]
     for kp in kps:
         if kp > n:
             raise ValueError(f"cannot emit {kp} of {n} qubits")
-    d = 2 ** n
-    cols, mirror_l1 = (d, _mirror_l1_old) if age == "old" else (2 ** k, _mirror_l1_young)
-    per_c = np.empty((len(cs), trials))
-    # the draws, and each margin's marginal on the kept qubits and A
-    entries = max([d * cols] + [4 ** (n - kp + k) for kp in kps])
-    for a, b in trial_chunks(trials, entries):
-        iso = haar_isometries(seed, a, b, d, cols)
-        for j, kp in enumerate(kps):
-            per_c[j, a:b] = mirror_l1(iso, n, k, kp)
+    _, entries = _mirror_shape(n, k, kps, age)
+    per_c = run_trials(_mirror_trials, trials, entries, n, k, kps, age, seed)
     reports = []
-    for j, (c, kp) in enumerate(zip(cs, kps)):
-        vals = per_c[j]
+    for c, kp, vals in zip(cs, kps, per_c):
         mean = float(vals.mean())
-        stderr = _stderr(vals)
-        reports.append(MirrorReport(1.0 - mean, 1.0 - 2.0 ** (-c), mean, stderr, kp))
+        reports.append(MirrorReport(1.0 - mean, 1.0 - 2.0 ** (-c), mean, _stderr(vals), kp, vals))
     return reports
 
 

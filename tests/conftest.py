@@ -1,3 +1,10 @@
+import os
+
+# one BLAS thread, set before numpy loads: test values then do not depend on
+# the host's core count, and the large Monte Carlo checks shard across CPUs
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

@@ -198,6 +198,33 @@ class TestMonteCarloTrials:
         assert "Traceback" not in captured.err
 
 
+    @pytest.mark.parametrize("seed", [True, 2.5, "7"], ids=["bool", "float", "string"])
+    def test_bad_seed_is_usage_error(self, tmp_path, capsys, seed):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"command": "concentrate", "seed": seed, "trials": 50}))
+        assert cli.main(["--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: seed") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
+class TestBlackholeCommand:
+    @pytest.mark.parametrize("params,word", [
+        ({"n": 8, "k": 2, "c": -1}, "margins"),
+        ({"n": 8, "k": -1, "c": 2}, "k >= 0"),
+        ({"n": 0, "k": 2, "c": 2}, "n >= 1"),
+    ], ids=["c_negative", "k_negative", "n_zero"])
+    def test_negative_margins_are_usage_errors(self, tmp_path, capsys, params, word):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"command": "blackhole", "age": "old", **params}))
+        assert cli.main(["--config", str(cfg), "--trials", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert word in captured.err
+
+
 class TestConcentrateCommand:
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_single_outcome_law_reports_finite_pvalue(self, tmp_path, capsys, p):

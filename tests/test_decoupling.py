@@ -149,6 +149,11 @@ class TestBlackHole:
         with pytest.raises(ValueError):
             dec.black_hole_mirror(7, 2, 1, "young", trials=5, seed=1)
 
+    @pytest.mark.parametrize("n,k,cs", [(0, 2, [1]), (6, -1, [1]), (6, 2, [1, -1])])
+    def test_negative_sizes_refused(self, n, k, cs):
+        with pytest.raises(ValueError, match=">= "):
+            dec.black_hole_mirror_batch(n, k, cs, "old", 5, 1)
+
     def test_batch_matches_single(self):
         batch = dec.black_hole_mirror_batch(6, 2, [1, 2], "old", 10, seed=43)
         single = dec.black_hole_mirror(6, 2, 1, "old", 10, seed=43)
