@@ -143,7 +143,7 @@ def _state_objective(f_and_grad, d: int):
 
 
 def _maximize_over_states(channel: KrausChannel, f_and_grad, restarts: int,
-                          seed: int, tol: float) -> tuple[float, np.ndarray, int, bool]:
+                          seed: int) -> tuple[float, np.ndarray, int, bool]:
     """Maximize a state functional over rho = L L† / tr(L L†), multi-start.
 
     Returns the best value, its state, the L-BFGS iterations over all
@@ -171,17 +171,17 @@ def _maximize_over_states(channel: KrausChannel, f_and_grad, restarts: int,
 
 
 def one_shot_quantum_capacity(channel: KrausChannel, restarts: int = 10,
-                              tol: float = 1e-8, seed: int = 11) -> CapacityResult:
+                              seed: int = 11) -> CapacityResult:
     """Q1 = max over inputs of the coherent information, clamped at 0 in
     `value` with the raw optimum kept in `raw_value`.  `converged` is the
     L-BFGS status of the restart whose value is returned."""
     f = _rho_objective_factory(channel, assisted=False)
-    val, rho, iters, converged = _maximize_over_states(channel, f, restarts, seed, tol)
+    val, rho, iters, converged = _maximize_over_states(channel, f, restarts, seed)
     return CapacityResult(max(val, 0.0), rho, iters, converged, raw_value=val)
 
 
-def entanglement_assisted_capacity(channel: KrausChannel, tol: float = 1e-8,
-                                   restarts: int = 5, seed: int = 13) -> CapacityResult:
+def entanglement_assisted_capacity(channel: KrausChannel, restarts: int = 5,
+                                   seed: int = 13) -> CapacityResult:
     """C_E = max over inputs of I(R;B) = H(rho) + H(N(rho)) - H(N_c(rho)).
 
     The objective is concave, so the multi-start ascent converges to the
@@ -191,7 +191,7 @@ def entanglement_assisted_capacity(channel: KrausChannel, tol: float = 1e-8,
     best_val, best_rho = -np.inf, None
     iters = 0
     for r in range(restarts):
-        v, rho, it, _ = _maximize_over_states(channel, f, 1, seed + r, tol)
+        v, rho, it, _ = _maximize_over_states(channel, f, 1, seed + r)
         vals.append(v)
         iters += it
         if v > best_val:
@@ -243,8 +243,7 @@ def _chi_objective(channel: KrausChannel, m: int):
 
 
 def holevo_chi_channel(channel: KrausChannel, ensemble_size: Optional[int] = None,
-                       restarts: int = 10, tol: float = 1e-8,
-                       seed: int = 17) -> CapacityResult:
+                       restarts: int = 10, seed: int = 17) -> CapacityResult:
     """Lower bound on the product-state capacity chi(N): best ensemble of
     pure inputs found by gradient ascent over states and probabilities, with
     the exact gradient (see `_chi_objective`).  `converged` is the L-BFGS
@@ -307,6 +306,9 @@ _FAMILIES = {
 }
 
 
+SWEEP_QUANTITIES = ("C1", "CE", "Q1")
+
+
 @dataclass
 class SweepRow:
     family: str
@@ -318,11 +320,14 @@ class SweepRow:
 
 
 def capacity_sweep(family: str, grid: Sequence[float],
-                   which: Sequence[str] = ("C1", "CE", "Q1"),
+                   which: Sequence[str] = SWEEP_QUANTITIES,
                    restarts: int = 6, seed: int = 19) -> list[SweepRow]:
     """Capacity quantities over a parameter grid for a catalog family."""
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; have {sorted(_FAMILIES)}")
+    unknown = [q for q in which if q not in SWEEP_QUANTITIES]
+    if unknown:
+        raise ValueError(f"unknown quantities {unknown}; have {list(SWEEP_QUANTITIES)}")
     make = _FAMILIES[family]
     rows = []
     for p in grid:

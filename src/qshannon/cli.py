@@ -13,13 +13,92 @@ import sys
 import time
 from importlib import resources
 
-RESERVED_KEYS = {"command", "seed", "trials", "out", "format", "tol", "params"}
+RESERVED_KEYS = {"command", "seed", "trials", "out", "format", "params"}
 COMMANDS = ("entropy", "capacity", "compress", "concentrate", "measure",
             "decouple", "blackhole", "suite")
+FORMATS = ("csv", "json")
+
+SCHUMACHER3 = {
+    "probs": [0.5, 0.5],
+    "states": [[[1.0, 0.0], [0.0, 0.0]],
+               [[0.7071067811865476, 0.0], [0.7071067811865476, 0.0]]],
+    "n": 3,
+    "delta": 0.5,
+}
+
+# Every default of every command, keyed by "command example" where an example
+# changes them and by command otherwise.  A command without a "seed" or
+# "trials" entry uses none and refuses one.  A given param must have the type
+# of its default; a type in place of a default types a param that has none.
+DEFAULTS = {
+    "entropy": {"params": {"probs": list, "ref_probs": list, "state": list}},
+    "capacity": {"seed": 19, "params": {"family": str, "grid": [0.0, 0.1, 0.25, 0.4],
+                                        "which": ["C1", "CE", "Q1"], "restarts": 6}},
+    "compress": {"params": {"probs": list, "states": list, "n": 3, "delta": 0.5,
+                            "rate": float}},
+    "compress schumacher3qubit": {"params": {**SCHUMACHER3, "rate": float}},
+    "concentrate": {"seed": 41, "trials": 10_000, "params": {"p": 0.2, "n": 40}},
+    "measure trine": {},
+    "measure peres_wootters": {},
+    "measure haar_gain": {"seed": 71, "trials": 10_000,
+                          "params": {"example": "haar_gain", "d": 2}},
+    "decouple": {"seed": 7, "trials": 500,
+                 "params": {"dims": {"A1": int, "A2": int}, "e_dim": 1}},
+    "blackhole": {"seed": 423, "trials": 300,
+                  "params": {"n": 10, "k": 2, "c": 2, "age": "old"}},
+    "suite": {"params": {"name": "golden"}},
+}
 
 
 class UsageError(Exception):
     pass
+
+
+def _typed(name: str, value, spec):
+    """value, checked against the type of spec (a default or a type): ints
+    are JSON integers and floats any number, neither a bool."""
+    kind = spec if isinstance(spec, type) else type(spec)
+    if kind is float and type(value) in (int, float):
+        return float(value)
+    if type(value) is kind:
+        if kind is dict:
+            return {k: _typed(f"{name}.{k}", v, spec[k]) if k in spec else v
+                    for k, v in value.items()}
+        return value
+    raise UsageError(f"{name} must be {kind.__name__}, got {value!r}")
+
+
+def resolve(command: str, given: dict, seed, trials, fmt) -> dict:
+    """The report's config: the effective seed, trials and params of a run,
+    the given values type-checked over the command's defaults, and the
+    report format."""
+    if trials is not None and (type(trials) is not int or trials < 1):
+        raise UsageError(f"trials must be a positive integer, got {trials!r}")
+    if seed is not None and type(seed) is not int:
+        raise UsageError(f"seed must be an integer, got {seed!r}")
+    fmt = "json" if fmt is None else fmt
+    if fmt not in FORMATS:
+        raise UsageError(f"format must be csv or json, got {fmt!r}")
+    example = given.get("example")
+    if command == "measure" and example is None and "d" in given:
+        example = "haar_gain"
+    key = f"{command} {example}"
+    if key not in DEFAULTS:
+        key = command
+    if key not in DEFAULTS:  # only measure has no example-free entry
+        raise UsageError("measure needs example in {trine, peres_wootters, haar_gain}")
+    table = DEFAULTS[key]
+    sampling = {"seed": seed, "trials": trials}
+    for name, value in sampling.items():
+        if value is None:
+            sampling[name] = table.get(name)
+        elif name not in table:
+            raise UsageError(f"{key} takes no {name}")
+    defaults = table.get("params", {})
+    params = {k: v for k, v in defaults.items() if not isinstance(v, (type, dict))}
+    params.update({k: _typed(k, v, defaults[k]) if k in defaults else v
+                   for k, v in given.items()})
+    return {"command": command, "params": params, **sampling, "format": fmt}
 
 
 def parse_matrix(entries):
@@ -59,13 +138,15 @@ def default_csv_rows(results: dict) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: params -> (results dict, csv rows or None, check_failed)
+# command handlers: resolved config -> (results dict, csv rows or None,
+# check_failed)
 # ---------------------------------------------------------------------------
 
-def run_entropy(params, seed, trials, tol):
+def run_entropy(config):
     from . import entropy as ent
     from .linalg import density_from_matrix
 
+    params = config["params"]
     if "probs" in params:
         p = params["probs"]
         results = {"shannon_entropy": ent.shannon_entropy(p)}
@@ -84,48 +165,33 @@ def run_entropy(params, seed, trials, tol):
     raise UsageError("entropy needs 'probs' or 'state' in params")
 
 
-def run_capacity(params, seed, trials, tol):
+def run_capacity(config):
     from . import capacity as cap
 
-    family = params.get("family")
-    if family is None:
+    params = config["params"]
+    if "family" not in params:
         raise UsageError("capacity needs 'family' in params")
-    grid = params.get("grid", [0.0, 0.1, 0.25, 0.4])
-    which = tuple(params.get("which", ["C1", "CE", "Q1"]))
-    rows = cap.capacity_sweep(family, grid, which,
-                              restarts=int(params.get("restarts", 6)),
-                              seed=seed if seed is not None else 19)
+    rows = cap.capacity_sweep(params["family"], params["grid"], params["which"],
+                              restarts=params["restarts"], seed=config["seed"])
     results = {"rows": [{"family": r.family, "p": r.p, "quantity": r.quantity,
                          "value": r.value, "err": r.err, "converged": r.converged}
                         for r in rows]}
     return results, cap.sweep_to_csv_rows(rows), False
 
 
-SCHUMACHER3 = {
-    "probs": [0.5, 0.5],
-    "states": [[[1.0, 0.0], [0.0, 0.0]],
-               [[0.7071067811865476, 0.0], [0.7071067811865476, 0.0]]],
-    "n": 3,
-    "delta": 0.5,
-}
-
-
-def run_compress(params, seed, trials, tol):
-    import numpy as np
-
+def run_compress(config):
     from . import coding
 
-    if params.get("example") == "schumacher3qubit":
-        params = {**SCHUMACHER3, **{k: v for k, v in params.items() if k != "example"}}
+    params = config["params"]
     if "probs" not in params or "states" not in params:
         raise UsageError("compress needs 'example' or 'probs'+'states' in params")
     states = [parse_matrix(s).reshape(-1) for s in params["states"]]
     ensemble = list(zip(params["probs"], states))
-    n = int(params.get("n", 3))
+    n = params["n"]
     if "rate" in params:
-        rep = coding.schumacher_sim(ensemble, n, rate=float(params["rate"]))
+        rep = coding.schumacher_sim(ensemble, n, rate=params["rate"])
     else:
-        spec = coding.TypicalitySpec(n, float(params.get("delta", 0.5)))
+        spec = coding.TypicalitySpec(n, params["delta"])
         rep = coding.schumacher_sim(ensemble, n, spec=spec)
     results = {"fidelity": rep.fidelity, "weight": rep.weight, "dim": rep.dim,
                "rate": rep.rate, "lower_bound": rep.lower_bound}
@@ -134,13 +200,11 @@ def run_compress(params, seed, trials, tol):
     return results, None, False
 
 
-def run_concentrate(params, seed, trials, tol):
+def run_concentrate(config):
     from . import coding
 
-    rep = coding.concentration_sim(float(params.get("p", 0.2)),
-                                   int(params.get("n", 40)),
-                                   trials if trials else 10_000,
-                                   seed if seed is not None else 41)
+    params = config["params"]
+    rep = coding.concentration_sim(params["p"], params["n"], config["trials"], config["seed"])
     results = {"mean_log2_schmidt_rank": rep.mean_log2_d, "rate": rep.rate,
                "exact_mean_log2_schmidt_rank": rep.exact_mean_log2_d,
                "chi2_pvalue": rep.chi2_pvalue,
@@ -148,11 +212,11 @@ def run_concentrate(params, seed, trials, tol):
     return results, None, False
 
 
-def run_measure(params, seed, trials, tol):
+def run_measure(config):
     from . import measure as mea
     from . import suites
 
-    example = params.get("example")
+    example = config["params"]["example"]
     if example == "trine":
         ensemble = suites.trine_ensemble()
         povm = suites.trine_exclusion_povm()
@@ -163,55 +227,48 @@ def run_measure(params, seed, trials, tol):
     if example == "peres_wootters":
         res = suites.check_peres_wootters()
         return dict(res.details), None, not res.passed
-    if example == "haar_gain" or "d" in params:
-        rep = mea.haar_information_gain(int(params.get("d", 2)),
-                                        trials if trials else 10_000,
-                                        seed if seed is not None else 71)
-        results = {"exact_nats": rep.exact_nats, "exact_bits": rep.exact_bits,
-                   "estimate_nats": rep.estimate_nats,
-                   "estimate_bits": rep.estimate_bits,
-                   "mc_stderr_nats": rep.mc_stderr_nats, "trials": rep.trials}
-        return results, None, False
-    raise UsageError("measure needs example in {trine, peres_wootters, haar_gain}")
+    rep = mea.haar_information_gain(config["params"]["d"], config["trials"], config["seed"])
+    results = {"exact_nats": rep.exact_nats, "exact_bits": rep.exact_bits,
+               "estimate_nats": rep.estimate_nats,
+               "estimate_bits": rep.estimate_bits,
+               "mc_stderr_nats": rep.mc_stderr_nats, "trials": rep.trials}
+    return results, None, False
 
 
-def run_decouple(params, seed, trials, tol):
+def run_decouple(config):
     import numpy as np
 
     from . import decoupling as dec
     from .linalg import DensityOperator, SubsystemLayout
 
+    params = config["params"]
     dims = params.get("dims")
     if not dims or "A1" not in dims or "A2" not in dims:
         raise UsageError("decouple needs params.dims with A1 and A2")
-    d1, d2 = int(dims["A1"]), int(dims["A2"])
-    de = int(params.get("e_dim", 1))
+    d1, d2, de = dims["A1"], dims["A2"], params["e_dim"]
     if min(d1, d2, de) < 1:
         raise UsageError(f"decouple needs A1, A2 and e_dim >= 1, got {d1}, {d2}, {de}")
     da = d1 * d2
     if de > 1:
         from ._rng import stream
-        sigma = dec.random_sigma_ae(da, de, stream(seed if seed is not None else 7, 0))
+        sigma = dec.random_sigma_ae(da, de, stream(config["seed"], 0))
     else:
         m = np.zeros((da, da), dtype=complex)
         m[0, 0] = 1.0
         sigma = DensityOperator(m, SubsystemLayout((da,), ("A",)))
     rep = dec.decoupling_experiment(dec.DecouplingTrialSet(
-        sigma, (d1, d2), trials if trials else 500,
-        seed if seed is not None else 7))
+        sigma, (d1, d2), config["trials"], config["seed"]))
     results = {"mean_l1": rep.mean_l1, "bound": rep.bound,
                "mc_stderr": rep.mc_stderr, "satisfied": rep.satisfied()}
     return results, None, not rep.satisfied()
 
 
-def run_blackhole(params, seed, trials, tol):
+def run_blackhole(config):
     from . import decoupling as dec
 
-    rep = dec.black_hole_mirror(int(params.get("n", 10)), int(params.get("k", 2)),
-                                int(params.get("c", 2)),
-                                params.get("age", "old"),
-                                trials if trials else 300,
-                                seed if seed is not None else 423)
+    params = config["params"]
+    rep = dec.black_hole_mirror(params["n"], params["k"], params["c"], params["age"],
+                                config["trials"], config["seed"])
     results = {"fidelity_estimate": rep.fidelity_estimate, "target": rep.target,
                "mean_l1": rep.mean_l1, "mc_stderr": rep.mc_stderr,
                "emitted_qubits": rep.emitted_qubits,
@@ -219,10 +276,10 @@ def run_blackhole(params, seed, trials, tol):
     return results, None, not rep.meets_target()
 
 
-def run_suite(params, seed, trials, tol):
+def run_suite(config):
     from . import suites
 
-    name = params.get("name", "golden")
+    name = config["params"]["name"]
     checks = suites.run_suite(name)
     for res in checks:
         print(res.line())
@@ -302,9 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="RNG seed")
     p.add_argument("--trials", type=int, help="Monte Carlo trial count")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=["csv", "json"], dest="fmt",
+    p.add_argument("--format", choices=FORMATS, dest="fmt",
                    help="report format (default json)")
-    p.add_argument("--tol", type=float, help="numerical tolerance override")
     # convenience shorthands for the common param-free invocations
     p.add_argument("--name", help="suite name (suite command)")
     p.add_argument("--example", help="named example (compress/measure commands)")
@@ -346,31 +402,27 @@ def main(argv=None) -> int:
 
     seed = args.seed if args.seed is not None else cfg.get("seed")
     trials = args.trials if args.trials is not None else cfg.get("trials")
-    if trials is not None and (type(trials) is not int or trials < 1):
-        print(f"error: trials must be a positive integer, got {trials!r}", file=sys.stderr)
-        return 2
-    if seed is not None and type(seed) is not int:
-        print(f"error: seed must be an integer, got {seed!r}", file=sys.stderr)
-        return 2
-    tol = args.tol if args.tol is not None else cfg.get("tol")
-    fmt = args.fmt or cfg.get("format") or "json"
+    fmt = args.fmt or cfg.get("format")
     out = args.out or cfg.get("out")
-
-    full_config = {"command": command, "params": _sanitize(params),
-                   "seed": seed, "trials": trials, "tol": tol, "format": fmt}
+    if out is not None and type(out) is not str:
+        print(f"error: out must be a path string, got {out!r}", file=sys.stderr)
+        return 2
 
     start = time.perf_counter()
     try:
-        results, csv_rows, failed = HANDLERS[command](params, seed, trials, tol)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, TypeError) as exc:
+        config = resolve(command, params, seed, trials, fmt)
+        results, csv_rows, failed = HANDLERS[command](config)
+    except (UsageError, ValueError, KeyError, TypeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     wall = time.perf_counter() - start
 
-    emit_report(full_config, results, csv_rows, out, fmt, wall)
+    try:
+        emit_report({**config, "params": _sanitize(config["params"])}, results, csv_rows, out,
+                    config["format"], wall)
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return 2
     return 1 if failed else 0
 
 

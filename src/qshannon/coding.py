@@ -514,6 +514,8 @@ def concentration_sim(p: float, n: int, trials: int, seed: int) -> Concentration
     law and leaves a maximally entangled state of rank C(n, m)."""
     if not 0 <= p <= 1:
         raise ValueError("Schmidt parameter outside [0,1]")
+    if n < 1:
+        raise ValueError(f"need n >= 1 copies, got {n}")
     if n > 64:
         raise EnumerationCapError("binary concentration capped at n = 64")
     rng = stream(seed, 0)

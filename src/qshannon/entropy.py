@@ -102,8 +102,7 @@ def von_neumann_entropy(rho: DensityOperator | np.ndarray, base: float = 2) -> f
     """H(rho) = -tr(rho log rho) = Shannon entropy of the spectrum."""
     m = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
     vals = clean_spectrum(np.linalg.eigvalsh(m))
-    nz = vals[vals > ZERO_EIGENVALUE]
-    return float(-np.sum(nz * _log(nz, base)))
+    return float(row_entropies(vals[None], ZERO_EIGENVALUE, lambda x: _log(x, base))[0])
 
 
 @dataclass(frozen=True)

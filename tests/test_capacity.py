@@ -121,6 +121,15 @@ class TestSweep:
         with pytest.raises(ValueError):
             cap.capacity_sweep("nope", [0.1])
 
+    @pytest.mark.parametrize("which", [["Q2"], ["C1", "Q2"]])
+    def test_unknown_quantity_refused_before_any_optimizer(self, monkeypatch, which):
+        def ran(*args, **kwargs):
+            raise AssertionError("an optimizer ran")
+
+        monkeypatch.setattr(cap, "holevo_chi_channel", ran)
+        with pytest.raises(ValueError, match=r"'Q2'.*'C1', 'CE', 'Q1'"):
+            cap.capacity_sweep("erasure", [0.1], which)
+
 
 # ---------------------------------------------------------------------------
 # objectives: exact gradients against central differences, and the loop-based

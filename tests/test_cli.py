@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -258,3 +259,96 @@ class TestFlagOverrides:
         code, out = run(["--config", str(cfg), "--trials", "12"], capsys)
         assert code == 0
         assert json.loads(out)["config"]["trials"] == 12
+
+
+class TestDefaultsTable:
+    @pytest.mark.parametrize("config,argv,word", [
+        ({"command": "blackhole", "n": 8, "k": 2.9}, ["--trials", "2"], "k must be int"),
+        ({"command": "concentrate", "p": "0.2"}, ["--trials", "50"], "p must be float"),
+        ({"command": "concentrate", "n": True}, ["--trials", "50"], "n must be int"),
+        ({"command": "concentrate", "n": 0, "p": 0.2}, ["--trials", "50"], "n >= 1"),
+        ({"command": "concentrate", "p": 10 ** 400}, ["--trials", "50"], "too large"),
+        ({"command": "measure", "d": 2.5}, ["--trials", "50"], "d must be int"),
+        ({"command": "measure"}, [], "measure needs example"),
+        ({"command": "measure", "example": "bogus", "d": 3}, [], "measure needs example"),
+        ({"command": "measure", "example": "trine"}, ["--seed", "3"], "takes no seed"),
+        ({"command": "decouple", "dims": {"A1": 2.5, "A2": 2}}, ["--trials", "5"],
+         "dims.A1 must be int"),
+        ({"command": "compress", "example": "schumacher3qubit", "rate": "0.5"}, [],
+         "rate must be float"),
+        ({"command": "capacity", "family": "erasure"}, ["--trials", "5"], "takes no trials"),
+        ({"command": "suite", "name": "golden"}, ["--trials", "5"], "takes no trials"),
+        ({"command": "entropy", "probs": [0.5, 0.5]}, ["--seed", "3"], "takes no seed"),
+        ({"command": "entropy", "probs": [0.5, 0.5], "out": 2}, [], "out must be"),
+        ({"command": "entropy", "probs": [0.5, 0.5], "format": "xml"}, [], "format must be"),
+        ({"command": "capacity", "family": "erasure", "grid": [0.1], "which": ["Q1", "Q2"]},
+         [], "unknown quantities"),
+    ], ids=["blackhole_k_float", "concentrate_p_string", "concentrate_n_bool",
+            "concentrate_n_zero", "concentrate_p_overflow", "measure_d_float", "measure_no_example",
+            "measure_unknown_example", "trine_seed", "decouple_dims_float",
+            "compress_rate_string", "capacity_trials", "suite_trials", "entropy_seed",
+            "out_int", "format_xml", "capacity_unknown_quantity"])
+    def test_bad_input_is_one_line_usage_error(self, tmp_path, capsys, config, argv, word):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main(["--config", str(cfg), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert word in captured.err
+
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        assert cli.main(["entropy", "--config", self._probs(tmp_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write report")
+
+    @staticmethod
+    def _probs(tmp_path):
+        cfg = tmp_path / "p.json"
+        cfg.write_text(json.dumps({"probs": [0.5, 0.5]}))
+        return str(cfg)
+
+    @pytest.mark.parametrize("config,seed,trials", [
+        ({"command": "capacity", "family": "erasure", "grid": [0.25], "which": ["Q1"],
+          "restarts": 1}, 19, None),
+        ({"command": "concentrate", "n": 6}, 41, 10_000),
+        ({"command": "measure", "d": 2}, 71, 10_000),
+        ({"command": "decouple", "dims": {"A1": 2, "A2": 2}, "e_dim": 2}, 7, 500),
+        ({"command": "blackhole", "n": 4, "k": 1, "c": 1}, 423, 300),
+    ], ids=["capacity", "concentrate", "measure", "decouple", "blackhole"])
+    def test_report_config_reproduces_the_run(self, tmp_path, capsys, config, seed, trials):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        code = cli.main(["--config", str(cfg), "--out", str(first)])
+        report = json.loads(first.read_text())
+        assert (report["config"]["seed"], report["config"]["trials"]) == (seed, trials)
+        cfg.write_text(json.dumps(report["config"]))
+        assert cli.main(["--config", str(cfg), "--out", str(second)]) == code
+        texts = [re.sub(r'"wall_time": .*', "", p.read_text()) for p in (first, second)]
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("given,argv,params,seed,trials", [
+        ({"command": "blackhole", "n": 4, "seed": 5}, ["--trials", "2"],
+         {"n": 4, "k": 2, "c": 2, "age": "old"}, 5, 2),
+        ({"command": "measure", "example": "trine"}, [], {"example": "trine"}, None, None),
+        ({"command": "compress", "example": "schumacher3qubit"}, [],
+         {**cli.SCHUMACHER3, "example": "schumacher3qubit"}, None, None),
+    ], ids=["blackhole", "trine", "compress_example"])
+    def test_config_records_effective_params(self, tmp_path, capsys, given, argv, params,
+                                             seed, trials):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(given))
+        code, out = run(["--config", str(cfg), *argv], capsys)
+        assert code in (0, 1)
+        assert json.loads(out)["config"] == {"command": given["command"], "params": params,
+                                             "seed": seed, "trials": trials,
+                                             "format": "json"}
+
+    def test_float_param_takes_an_integer(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"command": "concentrate", "p": 0, "n": 10}))
+        code, out = run(["--config", str(cfg), "--trials", "50"], capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["params"]["p"] == 0.0

@@ -320,6 +320,11 @@ class TestConcentration:
         rep = concentration_sim(0.0, 10, trials=50, seed=31)
         assert rep.mean_log2_d == 0.0
 
+    def test_no_copies_refused(self):
+        # n = 0 used to report a NaN rate
+        with pytest.raises(ValueError, match="n >= 1"):
+            concentration_sim(0.2, 0, trials=50, seed=31)
+
     @pytest.mark.parametrize("trials", [1, 2, 20])
     def test_too_few_trials_for_chi_squared_refused(self, trials):
         # at n = 40, p = 0.2 no outcome has expectation 5 below about 33 trials

@@ -8,6 +8,7 @@ from conftest import random_pure, random_state
 from qshannon._rng import stream
 from qshannon import channels as ch
 from qshannon.entropy import (
+    ZERO_EIGENVALUE,
     bipartite_entropies,
     coherent_information,
     conditional_mutual_classical,
@@ -27,6 +28,7 @@ from qshannon.entropy import (
 )
 from qshannon.linalg import (
     PureState,
+    clean_spectrum,
     density_from_matrix,
     haar_random_unitary,
     maximally_mixed,
@@ -91,6 +93,26 @@ class TestVonNeumann:
         b = random_state((3,), "B", 13)
         assert von_neumann_entropy(tensor(a, b)) == pytest.approx(
             von_neumann_entropy(a) + von_neumann_entropy(b))
+
+    @pytest.mark.parametrize("base", [2, math.e, 10])
+    def test_matches_the_separate_spectral_path(self, base):
+        """Bit for bit the body von_neumann_entropy had before it summed
+        through row_entropies, at every rank and with exact zeros."""
+        def oracle(m):
+            vals = clean_spectrum(np.linalg.eigvalsh(m))
+            nz = vals[vals > ZERO_EIGENVALUE]
+            return float(-np.sum(nz * (np.log(nz) / np.log(base))))
+
+        rng = stream(2024, 0)
+        for d in range(1, 25):
+            for rank in sorted({1, 2, (d + 1) // 2, d - 1, d} & set(range(1, d + 1))):
+                g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+                m = g @ g.conj().T
+                m /= np.trace(m).real
+                diag = np.diag(np.concatenate([rng.dirichlet(np.ones(rank)),
+                                               np.zeros(d - rank)]))
+                for rho in (m, diag):
+                    assert von_neumann_entropy(rho, base) == oracle(rho)
 
 
 class TestBipartite:
