@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from ._rng import stream
 from .channels import KrausChannel, depolarizing, erasure
@@ -29,6 +28,24 @@ from .entropy import ZERO_EIGENVALUE, shannon_entropy
 from .linalg import dagger
 
 LN2 = math.log(2)
+
+
+def __getattr__(name: str):
+    """`minimize` is scipy.optimize.minimize, imported on first access and
+    then bound as a module global.  It stays a rebindable module attribute:
+    the L-BFGS call sites read it through `_minimize` at call time, so a
+    rebound `capacity.minimize` sees every restart."""
+    if name == "minimize":
+        from scipy.optimize import minimize
+
+        globals()["minimize"] = minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _minimize():
+    """The current `capacity.minimize`, importing SciPy's on first use."""
+    return globals().get("minimize") or __getattr__("minimize")
 
 
 @dataclass
@@ -151,6 +168,7 @@ def _maximize_over_states(channel: KrausChannel, f_and_grad, restarts: int,
     of the winning restart, or True for the closed-form candidate."""
     d = channel.dim_in
     neg = _state_objective(f_and_grad, d)
+    minimize = _minimize()
     best_val, best_rho, evals, converged = -np.inf, None, 0, False
     for r in range(restarts):
         rng = stream(seed, r)
@@ -252,6 +270,7 @@ def holevo_chi_channel(channel: KrausChannel, ensemble_size: Optional[int] = Non
     m = ensemble_size if ensemble_size is not None else d * d
     nv = 2 * m * d  # real parameters for m unnormalized complex vectors
     neg = _chi_objective(channel, m)
+    minimize = _minimize()
 
     best_val, best_x, iters, converged = -np.inf, None, 0, False
     for r in range(restarts):
@@ -293,6 +312,8 @@ def depolarizing_q1_mm(p: float) -> float:
 
 def depolarizing_q1_zero(bracket: tuple[float, float] = (0.05, 0.3)) -> float:
     """Smallest p where the maximally-mixed-input coherent information hits 0."""
+    from scipy.optimize import brentq
+
     return float(brentq(depolarizing_q1_mm, *bracket, xtol=1e-12))
 
 

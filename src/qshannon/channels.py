@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ._rng import stream
 from .linalg import (
@@ -279,6 +278,8 @@ def _search_degrading(channel: KrausChannel, restarts: int = 10,
     """Numerical search for T with T∘N = N_c, over Stinespring isometries of
     the candidate degrading map.  Returns None when no candidate reaches the
     residual tolerance."""
+    from scipy.optimize import minimize
+
     k = channel.kraus_ops
     target = choi_matrix(complementary(channel))
     db, de = channel.dim_out, channel.env_dim

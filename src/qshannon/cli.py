@@ -28,18 +28,20 @@ SCHUMACHER3 = {
 
 # Every default of every command, keyed by "command example" where an example
 # changes them and by command otherwise.  A command without a "seed" or
-# "trials" entry uses none and refuses one.  A given param must have the type
-# of its default; a type in place of a default types a param that has none.
+# "trials" entry uses none and refuses one, and a command refuses any param
+# its entry does not name.  A given param must have the type of its default;
+# a type in place of a default types a param that has none.
 DEFAULTS = {
     "entropy": {"params": {"probs": list, "ref_probs": list, "state": list}},
     "capacity": {"seed": 19, "params": {"family": str, "grid": [0.0, 0.1, 0.25, 0.4],
                                         "which": ["C1", "CE", "Q1"], "restarts": 6}},
     "compress": {"params": {"probs": list, "states": list, "n": 3, "delta": 0.5,
                             "rate": float}},
-    "compress schumacher3qubit": {"params": {**SCHUMACHER3, "rate": float}},
+    "compress schumacher3qubit": {"params": {"example": "schumacher3qubit", **SCHUMACHER3,
+                                             "rate": float}},
     "concentrate": {"seed": 41, "trials": 10_000, "params": {"p": 0.2, "n": 40}},
-    "measure trine": {},
-    "measure peres_wootters": {},
+    "measure trine": {"params": {"example": "trine"}},
+    "measure peres_wootters": {"params": {"example": "peres_wootters"}},
     "measure haar_gain": {"seed": 71, "trials": 10_000,
                           "params": {"example": "haar_gain", "d": 2}},
     "decouple": {"seed": 7, "trials": 500,
@@ -54,16 +56,25 @@ class UsageError(Exception):
     pass
 
 
+def _named(owner: str, given: dict, names) -> dict:
+    """given, after refusing any key that names does not hold."""
+    unknown = sorted(k for k in given if k not in names)
+    if unknown:
+        raise UsageError(f"{owner} takes no {', '.join(unknown)}")
+    return given
+
+
 def _typed(name: str, value, spec):
     """value, checked against the type of spec (a default or a type): ints
-    are JSON integers and floats any number, neither a bool."""
+    are JSON integers and floats any number, neither a bool.  A dict takes
+    only the keys its spec names."""
     kind = spec if isinstance(spec, type) else type(spec)
     if kind is float and type(value) in (int, float):
         return float(value)
     if type(value) is kind:
         if kind is dict:
-            return {k: _typed(f"{name}.{k}", v, spec[k]) if k in spec else v
-                    for k, v in value.items()}
+            return {k: _typed(f"{name}.{k}", v, spec[k])
+                    for k, v in _named(name, value, spec).items()}
         return value
     raise UsageError(f"{name} must be {kind.__name__}, got {value!r}")
 
@@ -96,8 +107,8 @@ def resolve(command: str, given: dict, seed, trials, fmt) -> dict:
             raise UsageError(f"{key} takes no {name}")
     defaults = table.get("params", {})
     params = {k: v for k, v in defaults.items() if not isinstance(v, (type, dict))}
-    params.update({k: _typed(k, v, defaults[k]) if k in defaults else v
-                   for k, v in given.items()})
+    params.update({k: _typed(k, v, defaults[k])
+                   for k, v in _named(key, given, defaults).items()})
     return {"command": command, "params": params, **sampling, "format": fmt}
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ._rng import check_trials, stream, trial_chunks
 from .entropy import (conditional_mutual_classical, holevo_chi, row_entropies, shannon_entropy,
@@ -174,6 +173,8 @@ def optimize_accessible_info(ensemble, outcomes: int, restarts: int = 20,
     iterate feasible.  L-BFGS-B gets the exact gradient of I(X;Y) in the
     A's (see `_accessible_info_objective`); only the winning POVM is built
     and validated."""
+    from scipy.optimize import minimize
+
     if outcomes < 2:
         raise ValueError("need at least two outcomes")
     d = (ensemble[0][1].matrix if isinstance(ensemble[0][1], DensityOperator)
@@ -242,6 +243,8 @@ def haar_information_gain(d: int, trials: int, seed: int) -> InfoGainReport:
     Carlo only for the conditional term E[-sum_y p_y ln p_y]."""
     if d < 2:
         raise ValueError("dimension must be >= 2")
+    if d > 2 ** 14:
+        raise ValueError("dimension guard: d <= 2^14")
     check_trials(trials)
     exact = math.log(d) - sum(1.0 / k for k in range(2, d + 1))
     cond = np.empty(trials)

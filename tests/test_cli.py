@@ -283,11 +283,20 @@ class TestDefaultsTable:
         ({"command": "entropy", "probs": [0.5, 0.5], "format": "xml"}, [], "format must be"),
         ({"command": "capacity", "family": "erasure", "grid": [0.1], "which": ["Q1", "Q2"]},
          [], "unknown quantities"),
+        ({"command": "entropy", "probs": [0.5, 0.5], "tol": 0.001}, [], "entropy takes no tol"),
+        ({"command": "concentrate", "trails": 50}, [], "concentrate takes no trails"),
+        ({"command": "measure", "example": "trine", "d": 3}, [], "measure trine takes no d"),
+        ({"command": "compress", "example": "bogus"}, [], "compress takes no example"),
+        ({"command": "decouple", "dims": {"A1": 2, "A2": 2, "B": 2}}, ["--trials", "5"],
+         "dims takes no B"),
+        ({"command": "measure", "d": 10 ** 9}, ["--trials", "5"], "dimension guard"),
     ], ids=["blackhole_k_float", "concentrate_p_string", "concentrate_n_bool",
             "concentrate_n_zero", "concentrate_p_overflow", "measure_d_float", "measure_no_example",
             "measure_unknown_example", "trine_seed", "decouple_dims_float",
             "compress_rate_string", "capacity_trials", "suite_trials", "entropy_seed",
-            "out_int", "format_xml", "capacity_unknown_quantity"])
+            "out_int", "format_xml", "capacity_unknown_quantity", "entropy_tol",
+            "concentrate_misspelt_trials", "trine_d", "compress_unknown_example",
+            "decouple_dims_extra", "measure_d_huge"])
     def test_bad_input_is_one_line_usage_error(self, tmp_path, capsys, config, argv, word):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(config))
@@ -316,7 +325,10 @@ class TestDefaultsTable:
         ({"command": "measure", "d": 2}, 71, 10_000),
         ({"command": "decouple", "dims": {"A1": 2, "A2": 2}, "e_dim": 2}, 7, 500),
         ({"command": "blackhole", "n": 4, "k": 1, "c": 1}, 423, 300),
-    ], ids=["capacity", "concentrate", "measure", "decouple", "blackhole"])
+        ({"command": "measure", "example": "trine"}, None, None),
+        ({"command": "compress", "example": "schumacher3qubit"}, None, None),
+    ], ids=["capacity", "concentrate", "measure", "decouple", "blackhole", "trine",
+            "schumacher3qubit"])
     def test_report_config_reproduces_the_run(self, tmp_path, capsys, config, seed, trials):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(config))

@@ -1,14 +1,23 @@
-"""Every top-level import in the package's modules is used by that module.
+"""Imports: every top-level import in the package's modules is used by that
+module, `import qshannon` loads no SciPy, and the optimizers import
+scipy.optimize on first use behind a rebindable `capacity.minimize`.
 
 Imports on a line marked `# noqa: F401` are deliberate re-exports (the
 package `__init__`) and are exempt."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import qshannon
+from qshannon import capacity, channels
+
+SRC = Path(qshannon.__file__).resolve().parent.parent
+HEAVY_SCIPY = ("scipy.optimize", "scipy.linalg", "scipy.stats", "scipy.integrate")
 
 MODULES = sorted(Path(qshannon.__file__).parent.glob("*.py"))
 
@@ -35,3 +44,81 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path) == []
+
+
+def run_fresh(code: str) -> str:
+    """stdout of `code` run in a new interpreter that imports qshannon from
+    this source tree."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_import_loads_no_heavy_scipy():
+    code = ("import sys\n"
+            "import qshannon, qshannon.cli, qshannon.suites\n"
+            f"print(sorted(m for m in {HEAVY_SCIPY!r} if m in sys.modules))")
+    assert run_fresh(code) == "[]"
+
+
+# each call reaches scipy.optimize, first imported inside it; the values are
+# those of the eager import, bit for bit
+FIRST_USE = {
+    "accessible_info": ("from qshannon import measure, suites\n"
+                        "r = measure.optimize_accessible_info(suites.trine_ensemble(), 3,"
+                        " restarts=3, seed=5)\n"
+                        "print(repr(r.value))", "0.584962500706439"),
+    "degrading_search": ("from qshannon import channels\n"
+                         "print(channels.is_degradable(channels.completely_dephasing(2)))",
+                         "True"),
+    "q1_zero": ("from qshannon import capacity\n"
+                "print(repr(capacity.depolarizing_q1_zero()))", "0.1892896249152316"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_USE))
+def test_optimizers_import_scipy_on_first_use(case):
+    code, expected = FIRST_USE[case]
+    guard = ("import sys\n"
+             "assert not any(m.startswith('scipy') for m in sys.modules)\n")
+    assert run_fresh(guard + code) == expected
+
+
+def test_capacity_minimize_is_scipys():
+    from scipy.optimize import minimize
+
+    assert capacity.minimize is minimize
+    with pytest.raises(AttributeError):
+        capacity.maximize
+
+
+CAPACITY_RUNS = {
+    "Q1": lambda ch, r: capacity.one_shot_quantum_capacity(ch, restarts=r, seed=3),
+    "CE": lambda ch, r: capacity.entanglement_assisted_capacity(ch, restarts=r, seed=3),
+    "chi": lambda ch, r: capacity.holevo_chi_channel(ch, ensemble_size=2, restarts=r, seed=3),
+}
+
+
+@pytest.mark.parametrize("quantity", sorted(CAPACITY_RUNS))
+def test_rebound_minimize_sees_every_restart(quantity):
+    # an outside tracer rebinds capacity.minimize between calls
+    run, restarts = CAPACITY_RUNS[quantity], 3
+    channel = channels.amplitude_damping(0.3)
+    before = run(channel, restarts).value
+    original, calls = capacity.minimize, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    capacity.minimize = counting
+    try:
+        traced = run(channel, restarts).value
+    finally:
+        capacity.minimize = original
+    assert len(calls) == restarts
+    assert traced == before
+    assert run(channel, restarts).value == before
+    assert len(calls) == restarts

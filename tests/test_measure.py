@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -120,6 +121,13 @@ class TestHaarGain:
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
             mea.haar_information_gain(1, trials=10, seed=1)
+
+    def test_dimension_guard_refuses_before_any_work(self):
+        # the exact term alone is a d-step loop; the guard must come first
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="dimension guard"):
+            mea.haar_information_gain(10 ** 9, trials=10, seed=1)
+        assert time.perf_counter() - start < 1.0
 
 
 TRINE = [np.array([1.0, 0.0]),
