@@ -1,16 +1,18 @@
 """Single-letter capacity optimizers: Blahut-Arimoto for classical channels,
 Holevo chi, one-shot quantum capacity, and entanglement-assisted capacity.
 
-All values are in bits per channel use.  The ensemble/state optimizers certify
-lower bounds (best value over seeded restarts); Blahut-Arimoto and the
-entanglement-assisted ascent also report a duality gap.
+All values are in bits per channel use.  Blahut-Arimoto and the
+entanglement-assisted capacity are concave maximizations solved by
+deterministic fixed-point iterations that stop on a certified duality gap,
+reported in `gap_estimate`.  Q1 and chi are not concave in general: their
+values are lower bounds (best value over seeded restarts) and carry no gap.
 
-The quantum optimizers run L-BFGS-B on exact gradients.  Their objectives hold
-the Kraus operators as one stacked tensor K[k, b, a]: the Q1 and C_E
-objectives form V rho V† once and trace it both ways for N(rho) and N_c(rho),
-the chi objective sends every ensemble member through the channel in one
-einsum, and one eigh per matrix (or per stack) gives both the entropy and the
-matrix log2 that the gradient needs.  `converged` on Q1 and chi is the L-BFGS
+Q1 and chi run L-BFGS-B on exact gradients.  Their objectives hold the Kraus
+operators as one stacked tensor K[k, b, a]: the Q1 and C_E objectives form
+V rho V† once and trace it both ways for N(rho) and N_c(rho), the chi
+objective sends every ensemble member through the channel in one einsum, and
+one eigh per matrix (or per stack) gives both the entropy and the matrix log2
+that the gradient needs.  `converged` on Q1 and chi is the L-BFGS
 termination status of the restart whose value is returned.
 """
 
@@ -54,7 +56,7 @@ class CapacityResult:
     argmax: object
     iterations: int
     converged: bool
-    gap_estimate: float = 0.0
+    gap_estimate: Optional[float] = None
     raw_value: Optional[float] = None
 
 
@@ -159,22 +161,23 @@ def _state_objective(f_and_grad, d: int):
     return neg
 
 
-def _maximize_over_states(channel: KrausChannel, f_and_grad, restarts: int,
-                          seed: int) -> tuple[float, np.ndarray, int, bool]:
-    """Maximize a state functional over rho = L L† / tr(L L†), multi-start.
-
-    Returns the best value, its state, the L-BFGS iterations over all
-    restarts, and whether the returned value is converged: the L-BFGS status
-    of the winning restart, or True for the closed-form candidate."""
+def one_shot_quantum_capacity(channel: KrausChannel, restarts: int = 10,
+                              seed: int = 11) -> CapacityResult:
+    """Q1 = max over inputs of the coherent information, clamped at 0 in
+    `value` with the raw optimum kept in `raw_value`: a multi-start L-BFGS
+    ascent over rho = L L† / tr(L L†), plus the maximally mixed input as a
+    candidate.  `converged` is the L-BFGS status of the restart whose value
+    is returned, or True when the maximally mixed input wins."""
     d = channel.dim_in
+    f_and_grad = _rho_objective_factory(channel, assisted=False)
     neg = _state_objective(f_and_grad, d)
     minimize = _minimize()
-    best_val, best_rho, evals, converged = -np.inf, None, 0, False
+    best_val, best_rho, iters, converged = -np.inf, None, 0, False
     for r in range(restarts):
         rng = stream(seed, r)
         x0 = rng.standard_normal(2 * d * d)
         res = minimize(neg, x0, jac=True, method="L-BFGS-B", options=LBFGS_OPTIONS)
-        evals += res.nit
+        iters += res.nit
         if -res.fun > best_val:
             best_val, converged = -res.fun, bool(res.success)
             ell = _unpack_square(res.x, d)
@@ -185,37 +188,41 @@ def _maximize_over_states(channel: KrausChannel, f_and_grad, restarts: int,
     mm_val, _ = f_and_grad(mm)
     if mm_val > best_val:
         best_val, best_rho, converged = mm_val, mm, True
-    return best_val, best_rho, evals, converged
+    return CapacityResult(max(best_val, 0.0), best_rho, iters, converged, raw_value=best_val)
 
 
-def one_shot_quantum_capacity(channel: KrausChannel, restarts: int = 10,
-                              seed: int = 11) -> CapacityResult:
-    """Q1 = max over inputs of the coherent information, clamped at 0 in
-    `value` with the raw optimum kept in `raw_value`.  `converged` is the
-    L-BFGS status of the restart whose value is returned."""
-    f = _rho_objective_factory(channel, assisted=False)
-    val, rho, iters, converged = _maximize_over_states(channel, f, restarts, seed)
-    return CapacityResult(max(val, 0.0), rho, iters, converged, raw_value=val)
+CE_TOL = 1e-10
+CE_MAX_ITER = 10_000
 
 
-def entanglement_assisted_capacity(channel: KrausChannel, restarts: int = 5,
-                                   seed: int = 13) -> CapacityResult:
-    """C_E = max over inputs of I(R;B) = H(rho) + H(N(rho)) - H(N_c(rho)).
+def entanglement_assisted_capacity(channel: KrausChannel, restarts: Optional[int] = None,
+                                   seed: Optional[int] = None) -> CapacityResult:
+    """C_E = max over inputs of I(R;B) = H(rho) + H(N(rho)) - H(N_c(rho)), by
+    the quantum Blahut-Arimoto iteration (Ramakrishnan et al.,
+    arXiv:1905.01286) from rho = I/d: rho <- 2^(G + log2 rho) / tr, with G
+    the gradient.
 
-    The objective is concave, so the multi-start ascent converges to the
-    global optimum; the gap estimate is the spread across restart optima."""
-    f = _rho_objective_factory(channel, assisted=True)
-    vals = []
-    best_val, best_rho = -np.inf, None
-    iters = 0
-    for r in range(restarts):
-        v, rho, it, _ = _maximize_over_states(channel, f, 1, seed + r)
-        vals.append(v)
-        iters += it
-        if v > best_val:
-            best_val, best_rho = v, rho
-    gap = float(max(vals) - min(vals)) if vals else 0.0
-    return CapacityResult(best_val, best_rho, iters, gap < 1e-6, gap)
+    f is concave, so f(rho) <= C_E <= f(rho) + lambda_max(G) - tr(rho G).  The
+    loop stops when this gap is at most CE_TOL, or after CE_MAX_ITER updates
+    with `converged` False; `value` is f(rho) and `gap_estimate` the gap.
+    `restarts` and `seed` are ignored: the benchmark's `optimize` workload
+    still passes them."""
+    f_and_grad = _rho_objective_factory(channel, assisted=True)
+    d = channel.dim_in
+    # log2 rho comes from each update's eigh, not from the objective's
+    # clamped log, so it stays exact where an eigenvalue of rho underflows
+    rho, log_rho = np.eye(d) / d, -math.log2(d) * np.eye(d)
+    for iters in range(CE_MAX_ITER + 1):
+        val, grad = f_and_grad(rho)
+        gap = float(np.linalg.eigvalsh(grad)[-1] - np.trace(rho @ grad).real)
+        if gap <= CE_TOL or iters == CE_MAX_ITER:
+            break
+        logs, vecs = np.linalg.eigh(grad + log_rho)
+        logs -= logs.max()
+        logs -= math.log2(np.exp2(logs).sum())
+        rho = (vecs * np.exp2(logs)) @ dagger(vecs)
+        log_rho = (vecs * logs) @ dagger(vecs)
+    return CapacityResult(val, rho, iters, gap <= CE_TOL, gap)
 
 
 def _unpack_ensemble(x: np.ndarray, m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -332,18 +339,21 @@ SWEEP_QUANTITIES = ("C1", "CE", "Q1")
 
 @dataclass
 class SweepRow:
+    """One capacity value of a sweep.  `err` is C_E's certified gap, and None
+    for C1 and Q1, which carry no bound."""
     family: str
     p: float
     quantity: str
     value: float
-    err: float
+    err: Optional[float]
     converged: bool
 
 
 def capacity_sweep(family: str, grid: Sequence[float],
                    which: Sequence[str] = SWEEP_QUANTITIES,
                    restarts: int = 6, seed: int = 19) -> list[SweepRow]:
-    """Capacity quantities over a parameter grid for a catalog family."""
+    """Capacity quantities over a parameter grid for a catalog family.
+    `restarts` and `seed` drive the C1 and Q1 ascents."""
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; have {sorted(_FAMILIES)}")
     unknown = [q for q in which if q not in SWEEP_QUANTITIES]
@@ -353,25 +363,24 @@ def capacity_sweep(family: str, grid: Sequence[float],
     rows = []
     for p in grid:
         ch = make(p)
-        values = {}
+        results = {}
         if "C1" in which:
-            res = holevo_chi_channel(ch, restarts=restarts, seed=seed)
-            values["C1"] = (res.value, res.converged)
+            results["C1"] = holevo_chi_channel(ch, restarts=restarts, seed=seed)
         if "CE" in which:
-            res = entanglement_assisted_capacity(ch, restarts=max(restarts // 2, 2), seed=seed)
-            values["CE"] = (res.value, res.converged)
+            results["CE"] = entanglement_assisted_capacity(ch)
         if "Q1" in which:
-            res = one_shot_quantum_capacity(ch, restarts=restarts, seed=seed)
-            values["Q1"] = (res.value, res.converged)
+            results["Q1"] = one_shot_quantum_capacity(ch, restarts=restarts, seed=seed)
         for q in which:
-            v, conv = values[q]
-            rows.append(SweepRow(family, float(p), q, float(v), 0.0, conv))
+            res = results[q]
+            rows.append(SweepRow(family, float(p), q, float(res.value), res.gap_estimate,
+                                 res.converged))
     return rows
 
 
 def sweep_to_csv_rows(rows: list[SweepRow]) -> list[str]:
     out = ["family,p,quantity,value,err,converged"]
     for r in rows:
+        err = "" if r.err is None else f"{r.err:.12g}"
         out.append(f"{r.family},{r.p:.12g},{r.quantity},{r.value:.12g},"
-                   f"{r.err:.12g},{str(r.converged).lower()}")
+                   f"{err},{str(r.converged).lower()}")
     return out

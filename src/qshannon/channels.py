@@ -7,11 +7,12 @@ Channel equality is always decided on Choi matrices (trace-norm distance),
 which is basis independent and insensitive to the isometric freedom on the
 environment only where it should be.
 
-A degrading map T (T∘N = N_c) has closed forms for amplitude damping and
-erasure.  Otherwise, when N's superoperator is onto, T is unique and computed
-exactly as N_c∘N⁻¹; a None result is then a certificate that N is not
-degradable.  Channels whose superoperator is not onto fall back to a seeded
-numerical search, whose None is evidence only.
+A degrading map T (T∘N = N_c) has a closed form for erasure.  Every other
+channel goes through one linear solve, S_T = S_c S_N⁺ on superoperators:
+when it leaves S_T S_N ≠ S_c, no linear T exists and None is a certificate
+that N is not degradable.  When S_N is onto, that T is unique and a None from
+its Choi positivity check is a certificate too.  The remaining channels fall
+back to a seeded numerical search, whose None is evidence only.
 """
 
 from __future__ import annotations
@@ -316,16 +317,28 @@ def _search_degrading(channel: KrausChannel, restarts: int = 10,
     return t if residual <= residual_tol else None
 
 
-def _exact_degrading(channel: KrausChannel, s_n: np.ndarray) -> Optional[KrausChannel]:
-    """The unique T with T∘N = N_c for a channel whose superoperator S_N is
-    onto: S_T = S_c S_N⁺ (Cubitt-Ruskai-Smith, arXiv:0802.1360).  None when
-    T∘N = N_c has no solution or Choi(T) has an eigenvalue below
-    -CHOI_PSD_TOL, either of which certifies that N is not degradable."""
+def degrading_map(channel: KrausChannel) -> Optional[KrausChannel]:
+    """T with T∘N = N_c, or None.
+
+    Erasure has a closed form (None for p > 1/2).  Every other channel first
+    solves S_T = S_c S_N⁺ (Cubitt-Ruskai-Smith, arXiv:0802.1360): if
+    S_T S_N ≠ S_c, no linear T exists and None certifies non-degradability.
+    If S_N is onto, S_T is the unique solution, and None certifies that its
+    Choi matrix has an eigenvalue below -CHOI_PSD_TOL.  Otherwise a seeded
+    numerical search runs, whose None is evidence, not a certificate."""
+    if channel.kind == "erasure":
+        p, d = channel.params["p"], channel.params["d"]
+        if p <= 0.5:
+            return _erasure_degrading(p, d)
+        return None
     db, de = channel.dim_out, channel.env_dim
+    s_n = _superoperator(channel.kraus_ops)
     s_c = _superoperator(channel.kraus_ops.transpose(1, 0, 2))
     s_t = s_c @ np.linalg.pinv(s_n)
     if np.max(np.abs(s_t @ s_n - s_c)) > COMPLETENESS_TOL:
         return None
+    if np.linalg.matrix_rank(s_n) < db * db:
+        return _search_degrading(channel)
     # reshuffle S_T[(e, f), (b, c)] into the trace-one Choi[(e, b), (f, c)]
     choi = s_t.reshape(de, de, db, db).transpose(0, 2, 1, 3).reshape(de * db, de * db) / db
     vals, vecs = np.linalg.eigh((choi + dagger(choi)) / 2)
@@ -334,29 +347,6 @@ def _exact_degrading(channel: KrausChannel, s_n: np.ndarray) -> Optional[KrausCh
     keep = vals > CHOI_PSD_TOL
     ops = (vecs[:, keep] * np.sqrt(db * vals[keep])).T.reshape(-1, de, db)
     return KrausChannel(ops, db, de)
-
-
-def degrading_map(channel: KrausChannel) -> Optional[KrausChannel]:
-    """T with T∘N = N_c (Choi distance <= 1e-8 for closed forms), or None.
-
-    Closed forms cover amplitude damping and erasure at p <= 1/2.  Otherwise,
-    when N's superoperator is onto, T is computed exactly and None certifies
-    non-degradability (`_exact_degrading`); the remaining channels fall back
-    to a seeded numerical search, whose None is evidence, not a certificate."""
-    if channel.kind == "amplitude_damping":
-        p = channel.params["p"]
-        if p <= 0.5:
-            return amplitude_damping((1 - 2 * p) / (1 - p))
-        return None
-    if channel.kind == "erasure":
-        p, d = channel.params["p"], channel.params["d"]
-        if p <= 0.5:
-            return _erasure_degrading(p, d)
-        return None
-    s_n = _superoperator(channel.kraus_ops)
-    if np.linalg.matrix_rank(s_n) == channel.dim_out ** 2:
-        return _exact_degrading(channel, s_n)
-    return _search_degrading(channel)
 
 
 def is_degradable(channel: KrausChannel, tol: float = CHOI_EQUALITY_TOL) -> bool:

@@ -153,6 +153,12 @@ def check_erasure_q1() -> CheckResult:
                        {"worst_gap": worst, "value_at_half": res_half.value})
 
 
+def _decay_probability(t: ch.KrausChannel) -> float:
+    """q = <0|T(|1><1|)|0>, the decay probability of a degrading map that is
+    a q-damping or a q-erasure."""
+    return float(ch.apply(t, np.diag(np.eye(t.dim_in)[1])).matrix[0, 0].real)
+
+
 def check_degradability() -> CheckResult:
     dists = {}
     for name, channel in (("amplitude_damping", ch.amplitude_damping(0.25)),
@@ -160,8 +166,7 @@ def check_degradability() -> CheckResult:
         t = ch.degrading_map(channel)
         d = trace_distance(ch.choi_matrix(ch.compose(t, channel)),
                            ch.choi_matrix(ch.complementary(channel)))
-        q = t.params.get("p", t.params.get("q"))
-        dists[name] = (round(q, 12), d)
+        dists[name] = (round(_decay_probability(t), 12), d)
     ok = all(_close(q, 2 / 3, 1e-10) and d <= 1e-8 for q, d in dists.values())
     return CheckResult("degradability", ok, {"q_and_choi_distance": dists})
 

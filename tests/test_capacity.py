@@ -58,6 +58,32 @@ class TestOneShotQuantum:
         assert res.value == pytest.approx(cap.depolarizing_q1_mm(p), abs=1e-5)
 
 
+def ce_oracle(channel, restarts=5, seed=13):
+    """C_E by the multi-start L-BFGS ascent the Blahut-Arimoto loop replaced:
+    the best of `restarts` seeded starts over rho = L L† / tr(L L†)."""
+    from scipy.optimize import minimize
+
+    d = channel.dim_in
+    neg = cap._state_objective(cap._rho_objective_factory(channel, assisted=True), d)
+    return max(-minimize(neg, stream(seed, r).standard_normal(2 * d * d), jac=True,
+                         method="L-BFGS-B", options=cap.LBFGS_OPTIONS).fun
+               for r in range(restarts))
+
+
+CE_CATALOG = {
+    "ad_0": ch.amplitude_damping(0.0), "ad_0.3": ch.amplitude_damping(0.3),
+    "ad_0.99": ch.amplitude_damping(0.99), "ad_1": ch.amplitude_damping(1.0),
+    "dep_0.1439": ch.depolarizing(0.1439), "dep_0.75": ch.depolarizing(0.75),
+    "dep_1": ch.depolarizing(1.0), "erasure_0": ch.erasure(0.0), "erasure_1": ch.erasure(1.0),
+    "erasure_0.3_d3": ch.erasure(0.3, 3),
+    "dephasing": ch.generalized_dephasing(np.array([[1.0, 0.6], [0.6, 1.0]])),
+    "identity_4": ch.identity_channel(4), "classical_bsc": ch.from_classical(ch.bsc(0.1)),
+    "cq": ch.cq_channel(np.eye(2), [np.diag([0.7, 0.3]), np.full((2, 2), 0.5)]),
+}
+CE_RANDOM = [(d, n_kraus, seed + 10 * d + n_kraus)
+             for d in (2, 3, 4) for n_kraus in (1, 2, 3) for seed in (600, 700)]
+
+
 class TestEntanglementAssisted:
     def test_identity_gives_two_bits(self):
         res = cap.entanglement_assisted_capacity(ch.identity_channel(2), restarts=3)
@@ -72,6 +98,43 @@ class TestEntanglementAssisted:
         p = 0.2
         res = cap.entanglement_assisted_capacity(ch.depolarizing(p), restarts=3)
         assert res.value == pytest.approx(cap.depolarizing_ce(p), abs=1e-5)
+
+    @staticmethod
+    def assert_certified_optimum(channel):
+        res = cap.entanglement_assisted_capacity(channel)
+        assert res.converged
+        assert res.gap_estimate <= cap.CE_TOL
+        assert res.value == pytest.approx(ce_oracle(channel), abs=1e-12)
+        assert np.trace(res.argmax).real == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(CE_CATALOG))
+    def test_catalog_certified_at_oracle_value(self, name):
+        self.assert_certified_optimum(CE_CATALOG[name])
+
+    @pytest.mark.parametrize("d,n_kraus,seed", CE_RANDOM)
+    def test_random_channel_certified_at_oracle_value(self, d, n_kraus, seed):
+        self.assert_certified_optimum(random_channel(d, n_kraus, seed))
+
+    def test_no_seed_no_restarts(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("C_E drew a stream or ran L-BFGS")
+
+        channel = random_channel(3, 2, 404)
+        before = cap.entanglement_assisted_capacity(channel)
+        monkeypatch.setattr(cap, "stream", refuse)
+        monkeypatch.setattr(cap, "minimize", refuse)
+        for kwargs in ({}, {"restarts": 9, "seed": 1}):
+            res = cap.entanglement_assisted_capacity(channel, **kwargs)
+            assert (res.value, res.iterations) == (before.value, before.iterations)
+
+    def test_iteration_cap_reports_gap_not_converged(self, monkeypatch):
+        channel = ch.amplitude_damping(0.99)
+        monkeypatch.setattr(cap, "CE_MAX_ITER", 3)
+        res = cap.entanglement_assisted_capacity(channel)
+        assert res.iterations == 3
+        assert not res.converged
+        assert res.gap_estimate > cap.CE_TOL
+        assert res.value <= ce_oracle(channel) <= res.value + res.gap_estimate
 
 
 class TestHolevoChiChannel:
@@ -116,6 +179,15 @@ class TestSweep:
         csv = cap.sweep_to_csv_rows(rows)
         assert csv[0] == "family,p,quantity,value,err,converged"
         assert csv[1].startswith("erasure,0,Q1,1,")
+
+    def test_err_is_the_ce_gap_and_none_elsewhere(self):
+        rows = cap.capacity_sweep("depolarizing", [0.2], restarts=2)
+        err = {r.quantity: r.err for r in rows}
+        assert err["C1"] is None and err["Q1"] is None
+        assert -1e-15 <= err["CE"] <= cap.CE_TOL
+        fields = {line.split(",")[2]: line.split(",")[4]
+                  for line in cap.sweep_to_csv_rows(rows)[1:]}
+        assert fields == {"C1": "", "CE": f"{err['CE']:.12g}", "Q1": ""}
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

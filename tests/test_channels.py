@@ -13,7 +13,7 @@ from qshannon.linalg import (
     qubits,
     trace_distance,
 )
-from qshannon.suites import _random_channel
+from qshannon.suites import _decay_probability, _random_channel
 
 
 class TestKrausValidation:
@@ -245,7 +245,7 @@ class TestDegradability:
     def test_amplitude_damping_closed_form(self, p):
         channel = ch.amplitude_damping(p)
         t = ch.degrading_map(channel)
-        assert t.params["p"] == pytest.approx((1 - 2 * p) / (1 - p))
+        assert _decay_probability(t) == pytest.approx((1 - 2 * p) / (1 - p))
         assert trace_distance(ch.choi_matrix(ch.compose(t, channel)),
                               ch.choi_matrix(ch.complementary(channel))) < 1e-8
 
@@ -274,12 +274,17 @@ class TestDegradability:
         p = 0.3
         bare = ch.KrausChannel(ch.amplitude_damping(p).kraus_ops, 2, 2)
         t = ch.degrading_map(bare)
-        closed = ch.degrading_map(ch.amplitude_damping(p))
+        closed = ch.amplitude_damping((1 - 2 * p) / (1 - p))
         assert np.max(np.abs(ch.choi_matrix(t) - ch.choi_matrix(closed))) <= 1e-12
 
+    # the last three are not onto; no linear T exists for them
     @pytest.mark.parametrize("channel", [
         ch.KrausChannel(ch.amplitude_damping(0.6).kraus_ops, 2, 2),
-        ch.depolarizing(0.1), ch.depolarizing(0.3)], ids=["ad_0.6", "dep_0.1", "dep_0.3"])
+        ch.depolarizing(0.1), ch.depolarizing(0.3),
+        ch.KrausChannel(ch.amplitude_damping(1.0).kraus_ops, 2, 2),
+        ch.from_classical(ch.bsc(0.1)),
+        ch.cq_channel(np.eye(2), [np.diag([0.7, 0.3]), np.full((2, 2), 0.5)])],
+        ids=["ad_0.6", "dep_0.1", "dep_0.3", "ad_1", "classical_bsc", "cq"])
     def test_exact_map_certifies_non_degradable(self, no_search, channel):
         assert ch.degrading_map(channel) is None
         assert not ch.is_degradable(channel)

@@ -134,6 +134,16 @@ class TestCapacityCommand:
         values = [float(line.split(",")[3]) for line in lines[1:]]
         assert values == pytest.approx([1.0, 0.8, 0.5, 0.2], abs=1e-4)
 
+    def test_err_is_null_without_a_bound(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"command": "capacity", "family": "erasure",
+                                   "grid": [0.25], "which": ["CE", "Q1"]}))
+        code, out = run(["--config", str(cfg)], capsys)
+        assert code == 0
+        rows = {r["quantity"]: r for r in json.loads(out)["results"]["rows"]}
+        assert rows["Q1"]["err"] is None
+        assert -1e-15 <= rows["CE"]["err"] <= 1e-10 and rows["CE"]["converged"]
+
 
 class TestDecoupleCommand:
     def test_pure_source_example(self, tmp_path, capsys):
