@@ -26,7 +26,6 @@ from .linalg import (  # noqa: F401
     layout,
     maximally_mixed,
     partial_trace,
-    pure_from_vector,
     purify,
     qubits,
     random_mixed_state,

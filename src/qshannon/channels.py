@@ -33,6 +33,11 @@ from .linalg import (
 COMPLETENESS_TOL = 1e-10
 CHOI_EQUALITY_TOL = 1e-8
 CHOI_PSD_TOL = 1e-12
+# trace distance between Choi(T∘N) and Choi(N_c) up to which T degrades N
+DEGRADING_TOL = 1e-6
+# the degrading-map search: L-BFGS restarts, each from stream(SEARCH_SEED, r)
+SEARCH_RESTARTS = 10
+SEARCH_SEED = 20240824
 
 
 @dataclass(frozen=True)
@@ -274,11 +279,10 @@ def _erasure_degrading(p: float, d: int) -> KrausChannel:
                         params={"q": q, "d": d})
 
 
-def _search_degrading(channel: KrausChannel, restarts: int = 10,
-                      seed: int = 20240824, residual_tol: float = 1e-6) -> Optional[KrausChannel]:
+def _search_degrading(channel: KrausChannel) -> Optional[KrausChannel]:
     """Numerical search for T with T∘N = N_c, over Stinespring isometries of
-    the candidate degrading map.  Returns None when no candidate reaches the
-    residual tolerance."""
+    the candidate degrading map.  Returns None when no candidate comes within
+    DEGRADING_TOL."""
     from scipy.optimize import minimize
 
     k = channel.kraus_ops
@@ -302,8 +306,8 @@ def _search_degrading(channel: KrausChannel, restarts: int = 10,
 
     best = None
     best_val = np.inf
-    for r in range(restarts):
-        rng = stream(seed, r)
+    for r in range(SEARCH_RESTARTS):
+        rng = stream(SEARCH_SEED, r)
         x0 = rng.standard_normal(2 * nrow * db)
         res = minimize(objective, x0, method="L-BFGS-B",
                        options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-12})
@@ -314,7 +318,7 @@ def _search_degrading(channel: KrausChannel, restarts: int = 10,
         return None
     t = KrausChannel(kraus_from(best), db, de)
     residual = trace_distance(choi_matrix(compose(t, channel)), target)
-    return t if residual <= residual_tol else None
+    return t if residual <= DEGRADING_TOL else None
 
 
 def degrading_map(channel: KrausChannel) -> Optional[KrausChannel]:
@@ -349,9 +353,9 @@ def degrading_map(channel: KrausChannel) -> Optional[KrausChannel]:
     return KrausChannel(ops, db, de)
 
 
-def is_degradable(channel: KrausChannel, tol: float = CHOI_EQUALITY_TOL) -> bool:
+def is_degradable(channel: KrausChannel) -> bool:
     t = degrading_map(channel)
     if t is None:
         return False
     return trace_distance(choi_matrix(compose(t, channel)),
-                          choi_matrix(complementary(channel))) <= max(tol, 1e-6)
+                          choi_matrix(complementary(channel))) <= DEGRADING_TOL

@@ -30,7 +30,9 @@ SCHUMACHER3 = {
 # changes them and by command otherwise.  A command without a "seed" or
 # "trials" entry uses none and refuses one, and a command refuses any param
 # its entry does not name.  A given param must have the type of its default;
-# a type in place of a default types a param that has none.
+# a type in place of a default types a param that has none.  blackhole's c
+# alone also takes a non-empty list of ints, so one run gives a curve over
+# margins.
 DEFAULTS = {
     "entropy": {"params": {"probs": list, "ref_probs": list, "state": list}},
     "capacity": {"seed": 19, "params": {"family": str, "grid": [0.0, 0.1, 0.25, 0.4],
@@ -67,8 +69,12 @@ def _named(owner: str, given: dict, names) -> dict:
 def _typed(name: str, value, spec):
     """value, checked against the type of spec (a default or a type): ints
     are JSON integers and floats any number, neither a bool.  A dict takes
-    only the keys its spec names."""
+    only the keys its spec names, and c a non-empty list of its type too."""
     kind = spec if isinstance(spec, type) else type(spec)
+    if name == "c" and type(value) is list:
+        if not value:
+            raise UsageError(f"{name} must be {kind.__name__} or a non-empty list, got []")
+        return [_typed(f"{name}[{i}]", v, spec) for i, v in enumerate(value)]
     if kind is float and type(value) in (int, float):
         return float(value)
     if type(value) is kind:
@@ -278,13 +284,16 @@ def run_blackhole(config):
     from . import decoupling as dec
 
     params = config["params"]
-    rep = dec.black_hole_mirror(params["n"], params["k"], params["c"], params["age"],
-                                config["trials"], config["seed"])
-    results = {"fidelity_estimate": rep.fidelity_estimate, "target": rep.target,
-               "mean_l1": rep.mean_l1, "mc_stderr": rep.mc_stderr,
-               "emitted_qubits": rep.emitted_qubits,
-               "meets_target": rep.meets_target()}
-    return results, None, not rep.meets_target()
+    c = params["c"]
+    curve = type(c) is list
+    reps = dec.black_hole_mirror_batch(params["n"], params["k"], c if curve else [c],
+                                       params["age"], config["trials"], config["seed"])
+    rows = [{"fidelity_estimate": rep.fidelity_estimate, "target": rep.target,
+             "mean_l1": rep.mean_l1, "mc_stderr": rep.mc_stderr,
+             "emitted_qubits": rep.emitted_qubits, "meets_target": rep.meets_target()}
+            for rep in reps]
+    results = {key: [r[key] for r in rows] for key in rows[0]} if curve else rows[0]
+    return results, None, not all(r["meets_target"] for r in rows)
 
 
 def run_suite(config):

@@ -20,9 +20,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._rng import stream
+from ._rng import check_trials, stream
 from .entropy import shannon_entropy, validate_prob_dist
-from .linalg import DensityOperator, eig_hermitian
+from .linalg import DensityOperator, density_from_matrix, eig_hermitian
 
 CENSUS_CAP = 2 ** 24
 QUANTUM_CAP = 2 ** 14
@@ -59,7 +59,7 @@ class SimReport:
 
 
 def _bernoulli_stderr(p_hat: float, trials: int) -> float:
-    return math.sqrt(max(p_hat * (1 - p_hat), 0.0) / trials) if trials else 0.0
+    return math.sqrt(max(p_hat * (1 - p_hat), 0.0) / trials)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +164,7 @@ def slepian_wolf_sim(pxy, n: int, rate: float, trials: int, seed: int,
     The bin scan is simulated exactly: under uniform independent binning,
     the number of competitors of each joint type present in the bin is
     Binomial(type size, 1/#bins), so no sequences are ever materialized."""
+    check_trials(trials)
     pxy = np.asarray(pxy, dtype=float)
     dx, dy = pxy.shape
     px = pxy.sum(axis=1)
@@ -261,6 +262,7 @@ def slepian_wolf_sim(pxy, n: int, rate: float, trials: int, seed: int,
 def bsc_random_code_sim(p: float, n: int, rate: float, trials: int, seed: int) -> SimReport:
     """Random codebook over the binary symmetric channel with minimum-Hamming-
     distance decoding; reports the empirical block error rate."""
+    check_trials(trials)
     if not 0 <= p <= 1:
         raise ValueError("flip probability outside [0,1]")
     n_codewords = max(int(round(2.0 ** (n * rate))), 2)
@@ -439,7 +441,6 @@ def schumacher_sim(ensemble, n: int, spec: Optional[TypicalitySpec] = None,
         raise EnumerationCapError(
             f"{m_letters}^{n} message sequences exceeds the cap {QUANTUM_CAP}")
     rho_m = sum(p * np.outer(v, v.conj()) for p, v in zip(probs, states))
-    from .linalg import density_from_matrix
     rho = density_from_matrix(rho_m)
 
     ky_fan = None

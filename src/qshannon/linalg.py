@@ -64,9 +64,6 @@ class SubsystemLayout:
     def indices(self, labels: Iterable[str]) -> tuple[int, ...]:
         return tuple(self.index(lb) for lb in labels)
 
-    def dim_of(self, labels: Iterable[str]) -> int:
-        return prod(self.dims[i] for i in self.indices(labels))
-
     def restrict(self, labels: Iterable[str]) -> "SubsystemLayout":
         """Sub-layout of `labels`, kept in this layout's order."""
         keep = set(labels)
@@ -148,11 +145,6 @@ def density_from_matrix(m: np.ndarray, label: str = "A") -> DensityOperator:
     """Wrap a bare matrix as a single-factor density operator."""
     m = np.asarray(m, dtype=complex)
     return DensityOperator(m, SubsystemLayout((m.shape[0],), (label,)))
-
-
-def pure_from_vector(v: np.ndarray, label: str = "A") -> PureState:
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    return PureState(v, SubsystemLayout((v.size,), (label,)))
 
 
 def maximally_mixed(lay: SubsystemLayout) -> DensityOperator:

@@ -81,6 +81,16 @@ class TestEntropyCommand:
         assert lines[0] == "name,value"
         assert lines[1].startswith("shannon_entropy,0.811278124459")
 
+    def test_csv_flattens_a_list(self, tmp_path, capsys):
+        state = [[[0.75, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.25, 0.0]]]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"command": "entropy", "state": state}))
+        code, out = run(["--config", str(cfg), "--format", "csv"], capsys)
+        assert code == 0
+        rows = dict(line.split(",") for line in out.strip().splitlines()[1:])
+        assert sorted(float(rows[f"eigenvalues[{i}]"]) for i in range(2)) == [0.25, 0.75]
+        assert "eigenvalues[2]" not in rows
+
 
 class TestSchema:
     def test_reports_validate(self, tmp_path, capsys):
@@ -223,9 +233,10 @@ class TestMonteCarloTrials:
 class TestBlackholeCommand:
     @pytest.mark.parametrize("params,word", [
         ({"n": 8, "k": 2, "c": -1}, "margins"),
+        ({"n": 8, "k": 2, "c": [2, -1]}, "margins"),
         ({"n": 8, "k": -1, "c": 2}, "k >= 0"),
         ({"n": 0, "k": 2, "c": 2}, "n >= 1"),
-    ], ids=["c_negative", "k_negative", "n_zero"])
+    ], ids=["c_negative", "c_list_negative", "k_negative", "n_zero"])
     def test_negative_margins_are_usage_errors(self, tmp_path, capsys, params, word):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"command": "blackhole", "age": "old", **params}))
@@ -235,8 +246,56 @@ class TestBlackholeCommand:
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert word in captured.err
 
+    CURVE = {"command": "blackhole", "n": 8, "k": 2, "age": "old", "trials": 6, "seed": 423}
+    FIELDS = ("fidelity_estimate", "target", "mean_l1", "mc_stderr", "emitted_qubits")
+
+    def _results(self, tmp_path, capsys, c, *argv):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**self.CURVE, "c": c}))
+        return run(["--config", str(cfg), *argv], capsys)
+
+    def test_margin_list_matches_scalar_runs_and_batch(self, tmp_path, capsys):
+        from qshannon import decoupling as dec
+
+        code, out = self._results(tmp_path, capsys, [1, 2, 3])
+        assert code == 0
+        curve = json.loads(out)["results"]
+        batch = dec.black_hole_mirror_batch(8, 2, [1, 2, 3], "old", 6, 423)
+        for i, c in enumerate([1, 2, 3]):
+            scalar = json.loads(self._results(tmp_path, capsys, c)[1])["results"]
+            assert {key: curve[key][i] for key in curve} == scalar
+            assert [curve[key][i] for key in self.FIELDS] == [
+                getattr(batch[i], key) for key in self.FIELDS]
+            assert curve["meets_target"][i] is batch[i].meets_target()
+
+    def test_margin_list_csv_rows(self, tmp_path, capsys):
+        code, out = self._results(tmp_path, capsys, [1, 2, 3], "--format", "csv")
+        assert code == 0
+        names = [line.split(",")[0] for line in out.strip().splitlines()]
+        for key in (*self.FIELDS, "meets_target"):
+            assert [n for n in names if n.startswith(key + "[")] == [
+                f"{key}[{i}]" for i in range(3)]
+
+    def test_any_missed_margin_exits_one(self, tmp_path, capsys, monkeypatch):
+        from qshannon import decoupling as dec
+
+        monkeypatch.setattr(dec.MirrorReport, "meets_target",
+                            lambda self, slack_sigmas=4.0: self.emitted_qubits != 4)
+        code, out = self._results(tmp_path, capsys, [1, 2, 3])
+        assert code == 1
+        assert json.loads(out)["results"]["meets_target"] == [True, False, True]
+
 
 class TestConcentrateCommand:
+    def test_csv_flattens_the_histogram(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"command": "concentrate", "p": 0.3, "n": 6}))
+        code, out = run(["--config", str(cfg), "--trials", "50", "--format", "csv"], capsys)
+        assert code == 0
+        counts = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]
+                  if line.startswith("histogram.")]
+        assert len(counts) > 1 and sum(counts) == 50
+
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_single_outcome_law_reports_finite_pvalue(self, tmp_path, capsys, p):
         cfg = tmp_path / "c.json"
@@ -246,6 +305,15 @@ class TestConcentrateCommand:
         pvalue = json.loads(out)["results"]["chi2_pvalue"]
         assert isinstance(pvalue, float) and math.isfinite(pvalue)
         assert pvalue == 1.0
+
+
+class TestMeasureCommand:
+    def test_peres_wootters_example(self, capsys):
+        code, out = run(["measure", "--example", "peres_wootters"], capsys)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["eigenvalues"] == [0.5, 0.25, 0.25]
+        assert results["mutual_info"] == pytest.approx(1.369068, abs=1e-6)
 
 
 class TestSuiteCommand:
@@ -274,6 +342,11 @@ class TestFlagOverrides:
 class TestDefaultsTable:
     @pytest.mark.parametrize("config,argv,word", [
         ({"command": "blackhole", "n": 8, "k": 2.9}, ["--trials", "2"], "k must be int"),
+        ({"command": "blackhole", "n": 8, "c": []}, ["--trials", "2"],
+         "c must be int or a non-empty list"),
+        ({"command": "blackhole", "n": 8, "c": [1, True]}, ["--trials", "2"], "c[1] must be int"),
+        ({"command": "blackhole", "n": 8, "c": [1.5]}, ["--trials", "2"], "c[0] must be int"),
+        ({"command": "blackhole", "n": 8, "c": [1, "2"]}, ["--trials", "2"], "c[1] must be int"),
         ({"command": "concentrate", "p": "0.2"}, ["--trials", "50"], "p must be float"),
         ({"command": "concentrate", "n": True}, ["--trials", "50"], "n must be int"),
         ({"command": "concentrate", "n": 0, "p": 0.2}, ["--trials", "50"], "n >= 1"),
@@ -300,7 +373,8 @@ class TestDefaultsTable:
         ({"command": "decouple", "dims": {"A1": 2, "A2": 2, "B": 2}}, ["--trials", "5"],
          "dims takes no B"),
         ({"command": "measure", "d": 10 ** 9}, ["--trials", "5"], "dimension guard"),
-    ], ids=["blackhole_k_float", "concentrate_p_string", "concentrate_n_bool",
+    ], ids=["blackhole_k_float", "blackhole_c_empty", "blackhole_c_bool", "blackhole_c_float",
+            "blackhole_c_string", "concentrate_p_string", "concentrate_n_bool",
             "concentrate_n_zero", "concentrate_p_overflow", "measure_d_float", "measure_no_example",
             "measure_unknown_example", "trine_seed", "decouple_dims_float",
             "compress_rate_string", "capacity_trials", "suite_trials", "entropy_seed",
@@ -335,10 +409,11 @@ class TestDefaultsTable:
         ({"command": "measure", "d": 2}, 71, 10_000),
         ({"command": "decouple", "dims": {"A1": 2, "A2": 2}, "e_dim": 2}, 7, 500),
         ({"command": "blackhole", "n": 4, "k": 1, "c": 1}, 423, 300),
+        ({"command": "blackhole", "n": 4, "k": 1, "c": [0, 1, 2]}, 423, 300),
         ({"command": "measure", "example": "trine"}, None, None),
         ({"command": "compress", "example": "schumacher3qubit"}, None, None),
-    ], ids=["capacity", "concentrate", "measure", "decouple", "blackhole", "trine",
-            "schumacher3qubit"])
+    ], ids=["capacity", "concentrate", "measure", "decouple", "blackhole", "blackhole_curve",
+            "trine", "schumacher3qubit"])
     def test_report_config_reproduces_the_run(self, tmp_path, capsys, config, seed, trials):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(config))

@@ -36,7 +36,8 @@ VALID = {
                                                  "A2": st.integers(1, 4)}), True),
                  "e_dim": (st.integers(1, 4), False)},
     "blackhole": {"n": (st.integers(1, 6), True), "k": (st.integers(0, 3), False),
-                  "c": (st.integers(0, 3), False),
+                  "c": (st.one_of(st.integers(0, 3),
+                                  st.lists(st.integers(0, 3), min_size=1, max_size=3)), False),
                   "age": (st.sampled_from(["old", "young"]), False)},
     # no suite name: each suite takes a second or more
     "suite": {"name": (WILD, True)},

@@ -115,6 +115,17 @@ class TestBscCode:
         assert rep.success_prob > 0.95
 
 
+class TestTrialCount:
+    @pytest.mark.parametrize("run", [
+        lambda t: bsc_random_code_sim(0.05, 10, 0.3, t, 5),
+        lambda t: slepian_wolf_sim(np.full((2, 2), 0.25), 8, 0.5, t, 5),
+    ], ids=["bsc", "slepian_wolf"])
+    @pytest.mark.parametrize("trials", [0, 1])
+    def test_fewer_than_two_trials_refused(self, run, trials):
+        with pytest.raises(ValueError, match="at least 2 trials"):
+            run(trials)
+
+
 class TestSchumacherProjector:
     RHO = density_from_matrix(np.array([[0.75, 0.25], [0.25, 0.25]]))
 
