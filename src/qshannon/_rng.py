@@ -33,6 +33,8 @@ _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 _CAN_SHARD = ("fork" in multiprocessing.get_all_start_methods()
              and hasattr(os, "sched_getaffinity"))
 
+_local = threading.local()
+
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
     """Return the generator for stream `index` of the run keyed by `seed`."""
@@ -41,27 +43,38 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _keyed_generator():
+    """This thread's Philox generator and the plain-list state that `normal_pairs`
+    re-keys it from, made once per thread: a new Philox gathers OS entropy
+    before its key is set."""
+    try:
+        return _local.keyed
+    except AttributeError:
+        bitgen = np.random.Philox(key=0)
+        state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+                 "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        _local.keyed = bitgen, np.random.Generator(bitgen), state
+        return _local.keyed
+
+
 def normal_pairs(seed: int, start: int, stop: int,
                  shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """(re, im) arrays of shape (stop - start, *shape) whose row t - start
     holds the two draws stream(seed, t).standard_normal(shape) makes in turn.
 
     One Philox generator is re-keyed for every trial (key (seed, t), counter
-    0, empty buffer), which is the state stream(seed, t) starts from, at a
-    fraction of the cost of building a generator per trial."""
-    bitgen = np.random.Philox(key=0)
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state
-    state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
-    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
-    re = np.empty((stop - start,) + tuple(shape))
-    im = np.empty_like(re)
+    0, empty buffer), which is the state stream(seed, t) starts from, and
+    makes one draw of shape (2, *shape): the generator just continues from
+    the first half into the second, as it does between two draws."""
+    bitgen, gen, state = _keyed_generator()
+    key = state["state"]["key"]
+    key[0] = seed & _KEY_MASK
+    buf = np.empty((stop - start, 2) + tuple(shape))
     for row, t in enumerate(range(start, stop)):
-        state["state"]["key"] = np.array([seed & _KEY_MASK, t & _KEY_MASK], dtype=np.uint64)
+        key[1] = t & _KEY_MASK
         bitgen.state = state
-        gen.standard_normal(out=re[row])
-        gen.standard_normal(out=im[row])
-    return re, im
+        gen.standard_normal(out=buf[row])
+    return buf[:, 0], buf[:, 1]
 
 
 def trial_chunks(stop: int, entries: int, start: int = 0):

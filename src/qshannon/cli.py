@@ -242,8 +242,8 @@ def run_measure(config):
                    "holevo_chi": holevo_chi(ensemble)}
         return results, None, False
     if example == "peres_wootters":
-        res = suites.check_peres_wootters()
-        return dict(res.details), None, not res.passed
+        ok, results = suites.peres_wootters_values()
+        return results, None, not ok
     rep = mea.haar_information_gain(config["params"]["d"], config["trials"], config["seed"])
     results = {"exact_nats": rep.exact_nats, "exact_bits": rep.exact_bits,
                "estimate_nats": rep.estimate_nats,

@@ -8,7 +8,13 @@ Haar isometries or states come from one stacked draw and one stacked QR
 (`linalg.haar_isometries`, `linalg.haar_states`), and the contractions,
 `eigvalsh` and entropies are stacked over the chunk.  Each trial's value is
 bit-identical to drawing it alone from stream(seed, t), whatever the chunk
-size.  The trial loops of the black-hole mirror and of
+size.  `decoupling_experiment` applies U to A's indices of sigma_AE directly
+instead of multiplying by U x I_E.  The two sum the same nonzero terms; with
+OpenBLAS 0.3.31 (Haswell kernels) they agree bit for bit when there is no E,
+or when |A| is a multiple of 4 and |A||E| <= 128.  Elsewhere they differ by
+roundoff, below 1e-14 per trial, because the BLAS groups the terms of the
+Kronecker form's longer, zero-padded sums differently.
+The trial loops of the black-hole mirror and of
 `decoupling_experiment` are range kernels run through `_rng.run_trials`,
 which shards large trials (the old hole from n = 9 up, |A||E| >= 512)
 across forked workers over contiguous trial ranges; the joined per-trial
@@ -98,13 +104,22 @@ def _decoupling_trials(m: np.ndarray, target: np.ndarray, split: tuple[int, int]
     decoupling_experiment."""
     d1, d2 = split
     da = d1 * d2
+    d = da * de
     vals = np.empty(hi - lo)
-    for a, b in trial_chunks(hi, (da * de) ** 2, lo):
+    for a, b in trial_chunks(hi, d ** 2, lo):
+        n = b - a
         u = haar_isometries(seed, a, b, da, da)
-        big_u = np.kron(u, np.eye(de)) if de > 1 else u    # kron of each matrix in the stack
-        rotated = big_u @ m @ dagger(big_u)
+        # (U x I_E) m (U x I_E)^dagger without the Kronecker product: U acts on
+        # the row index a of m[(a e), (a' f)], then dagger(U) on the column
+        # index a'.  Each entry sums the nonzero terms of the Kronecker
+        # product in the same order, over da terms rather than da * de; the
+        # chunk keeps the (da * de)^2 entries rule, so CHUNK_ENTRIES still
+        # bounds the stacked arrays.
+        left = (u @ m.reshape(da, de * d)).reshape(n, d, da, de)
+        right = left.transpose(0, 1, 3, 2).reshape(n, d * de, da) @ dagger(u)
+        rotated = right.reshape(n, d, de, da).transpose(0, 1, 3, 2).reshape(n, d, d)
         # trace out A1 (the leading tensor factor of A)
-        r = rotated.reshape(b - a, d1, d2 * de, d1, d2 * de)
+        r = rotated.reshape(n, d1, d2 * de, d1, d2 * de)
         kept = np.einsum("niaib->nab", r)
         vals[a - lo:b - lo] = _l1(kept, target)
     return vals
@@ -174,8 +189,9 @@ def expected_M_check(d1: int, d2: int, trials: int, seed: int) -> MomentReport:
         u = haar_isometries(seed, a, b, d, d)
         # np.kron(u, u) of each trial, as one stacked product
         uu = (u[:, :, None, :, None] * u[:, None, :, None, :]).reshape(b - a, d * d, d * d)
-        for term in dagger(uu) @ op @ uu:
-            acc += term        # trial by trial, the order of the one-trial loop
+        # a reduction over the outer axis adds trial by trial, in the order of
+        # the one-trial loop
+        acc = np.add.reduce(np.concatenate([acc[None], dagger(uu) @ op @ uu]))
     mean = acc / trials
 
     c_i, c_s, _, _ = moment_constants(d1, d2)
@@ -372,11 +388,24 @@ class SubsystemEntropyReport:
     mean_entropy: float
     bound: float
     mc_stderr: float
+    page_mean: float
+
+
+def page_mean(d1: int, d2: int) -> float:
+    """Page's exact mean entanglement entropy, in bits, of a Haar-random pure
+    state on d1 x d2 (Page, PRL 71, 1291, 1993): with m = min(d1, d2) and
+    n = max(d1, d2), sum_{k=n+1}^{mn} 1/k - (m - 1) / (2n) nats."""
+    m, n = min(d1, d2), max(d1, d2)
+    if m == 1:
+        return 0.0
+    nats = sum(1.0 / k for k in range(n + 1, m * n + 1)) - (m - 1) / (2 * n)
+    return nats / math.log(2)
 
 
 def random_subsystem_entropy(d1: int, d2: int, trials: int, seed: int) -> SubsystemEntropyReport:
-    """Mean entropy of the smaller share of a Haar-random pure state, against
-    the near-maximal lower bound log2 d2 - d2 / (2 d1 ln 2)."""
+    """Mean entropy of the A2 share of a Haar-random pure state on A1 A2,
+    against the near-maximal lower bound log2 d2 - d2 / (2 d1 ln 2) and
+    Page's exact mean."""
     check_trials(trials)
     if d1 * d2 > 2 ** 14:
         raise ValueError("dimension guard: |A| <= 2^14")
@@ -388,7 +417,7 @@ def random_subsystem_entropy(d1: int, d2: int, trials: int, seed: int) -> Subsys
         ev = np.clip(np.linalg.eigvalsh(m @ dagger(m)), 0.0, None)
         vals[a:b] = row_entropies(ev, 1e-14, np.log2)
     bound = math.log2(d2) - d2 / (2 * d1 * math.log(2)) if d2 > 1 else 0.0
-    return SubsystemEntropyReport(float(vals.mean()), bound, _stderr(vals))
+    return SubsystemEntropyReport(float(vals.mean()), bound, _stderr(vals), page_mean(d1, d2))
 
 
 # ---------------------------------------------------------------------------

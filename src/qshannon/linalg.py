@@ -318,22 +318,32 @@ def haar_random_unitary(d: int, seed_or_rng) -> np.ndarray:
     return haar_isometry(d, d, as_generator(seed_or_rng))
 
 
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Each row of a stack of complex vectors divided by its 2-norm.
+
+    The norm is the sum np.linalg.norm takes, sqrt(re.re + im.im), and a
+    stack of vector-vector matmuls makes the same strided BLAS dot calls, so
+    every row equals v / np.linalg.norm(v) bit for bit.  A sum over the last
+    axis (np.linalg.norm(v, axis=-1)) adds in another order."""
+    vr, vi = v.real, v.imag
+    sq = vr[:, None, :] @ vr[:, :, None] + vi[:, None, :] @ vi[:, :, None]
+    return v / np.sqrt(sq[:, 0])
+
+
 def haar_random_pure(lay: SubsystemLayout, seed_or_rng) -> PureState:
     """Haar-random state vector (normalized complex Gaussian)."""
     rng = as_generator(seed_or_rng)
     d = lay.total_dim
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return PureState(v / np.linalg.norm(v), lay)
+    return PureState(_unit_rows(v[None])[0], lay)
 
 
 def haar_states(seed: int, start: int, stop: int, d: int) -> np.ndarray:
     """Rows of the amplitudes haar_random_pure draws from stream(seed, t) for
-    t in [start, stop), bit for bit."""
+    t in [start, stop), bit for bit: the same draws, normalised by the same
+    row-norm helper."""
     re, im = normal_pairs(seed, start, stop, (d,))
-    v = re + 1j * im
-    # one norm per row, taken as haar_random_pure takes it: a stacked norm
-    # sums in another order
-    return v / np.array([np.linalg.norm(row) for row in v])[:, None]
+    return _unit_rows(re + 1j * im)
 
 
 def trace_norm(m: np.ndarray) -> float:

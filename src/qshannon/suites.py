@@ -108,7 +108,9 @@ def peres_wootters_ensemble():
     return [(1 / 3, density_from_matrix(np.outer(v, v))) for v in states], states
 
 
-def check_peres_wootters() -> CheckResult:
+def peres_wootters_values() -> tuple[bool, dict]:
+    """The Peres-Wootters ensemble's numbers at full precision, and whether
+    they match the notes."""
     e, states = peres_wootters_ensemble()
     rho = density_from_matrix(sum(p * s.matrix for p, s in e))
     vals, _ = eig_hermitian(rho.matrix)
@@ -123,10 +125,16 @@ def check_peres_wootters() -> CheckResult:
           and _close(p_corr, 0.971405, 1e-5)
           and _close(p_err, 0.0142977, 1e-5)
           and _close(i_xy, 1.369068, 1e-5))
+    return ok, {"eigenvalues": list(vals[:3]), "entropy": h,
+                "p_correct": p_corr, "p_error": p_err, "mutual_info": i_xy}
+
+
+def check_peres_wootters() -> CheckResult:
+    ok, v = peres_wootters_values()
     return CheckResult("peres_wootters", ok, {
-        "eigenvalues": tuple(round(v, 6) for v in vals[:3]),
-        "entropy": round(h, 9), "p_correct": round(p_corr, 6),
-        "p_error": round(p_err, 7), "mutual_info": round(i_xy, 6)})
+        "eigenvalues": tuple(round(x, 6) for x in v["eigenvalues"]),
+        "entropy": round(v["entropy"], 9), "p_correct": round(v["p_correct"], 6),
+        "p_error": round(v["p_error"], 7), "mutual_info": round(v["mutual_info"], 6)})
 
 
 def check_blahut_arimoto() -> CheckResult:

@@ -312,7 +312,10 @@ class TestMeasureCommand:
         code, out = run(["measure", "--example", "peres_wootters"], capsys)
         assert code == 0
         results = json.loads(out)["results"]
-        assert results["eigenvalues"] == [0.5, 0.25, 0.25]
+        # the computed values, not the suite check's display rounding
+        assert results["eigenvalues"] == pytest.approx([0.5, 0.25, 0.25], abs=1e-12)
+        assert results["p_error"] == pytest.approx(0.0142977, abs=1e-6)
+        assert results["p_error"] != round(results["p_error"], 7)
         assert results["mutual_info"] == pytest.approx(1.369068, abs=1e-6)
 
 

@@ -190,3 +190,21 @@ class TestSubsystemEntropy:
     def test_trivial_share(self):
         rep = dec.random_subsystem_entropy(16, 1, trials=5, seed=59)
         assert rep.mean_entropy == pytest.approx(0.0, abs=1e-9)
+
+    def test_page_mean_closed_forms(self):
+        # two qubits: 1/3 + 1/4 - 1/4 nats
+        assert dec.page_mean(2, 2) == pytest.approx(1 / (3 * math.log(2)), abs=1e-15)
+        assert dec.page_mean(16, 1) == dec.page_mean(1, 4) == 0.0
+        assert dec.page_mean(8, 2) == dec.page_mean(2, 8)
+
+    @pytest.mark.parametrize("d1,d2", [(2, 2), (8, 2), (4, 4), (2, 8), (64, 4), (3, 5),
+                                       (16, 1), (1, 4)])
+    def test_page_mean_at_least_bound(self, d1, d2):
+        rep = dec.random_subsystem_entropy(d1, d2, trials=2, seed=61)
+        assert rep.page_mean == dec.page_mean(d1, d2)
+        assert rep.page_mean >= rep.bound
+
+    @pytest.mark.parametrize("d1,d2", [(8, 2), (4, 4)])
+    def test_mean_within_four_sigma_of_page(self, d1, d2):
+        rep = dec.random_subsystem_entropy(d1, d2, trials=2000, seed=67)
+        assert abs(rep.mean_entropy - rep.page_mean) <= 4 * rep.mc_stderr

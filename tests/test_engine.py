@@ -1,9 +1,14 @@
 """The stacked Haar Monte Carlo engine against the one-trial-at-a-time loops
 it replaced.  The loops below are kept as oracles: every experiment must
-reproduce their per-trial values bit for bit, whatever the chunk size."""
+reproduce their per-trial values bit for bit, whatever the chunk size.  The
+one exception is decoupling at shapes where the BLAS sums the Kronecker
+loop's zero-padded products in another order; there the values agree to
+roundoff."""
 
 import math
 import re
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +214,44 @@ def test_normal_pairs_equal_stream_draws(seed, start, count, cut, shape):
     assert same(np.concatenate([left[1], right[1]]), im_all)
 
 
+@pytest.mark.parametrize("shape", [(1,), (16,), (4, 4), (64, 64)])
+def test_normal_pairs_row_is_one_double_draw(shape):
+    """Row t is one stream(seed, t).standard_normal((2, *shape)) draw, split
+    into its (re, im) halves."""
+    re_all, im_all = normal_pairs(71, 5, 9, shape)
+    for row, t in enumerate(range(5, 9)):
+        both = stream(71, t).standard_normal((2,) + shape)
+        assert same(re_all[row], both[0]) and same(im_all[row], both[1])
+
+
+def test_normal_pairs_threads_keep_their_own_generator():
+    """Each thread re-keys its own Philox: threads drawing at once get the
+    draws a lone caller gets."""
+    seeds = list(range(101, 109))
+    want = {s: normal_pairs(s, 0, 40, (3,)) for s in seeds}
+    got = {}
+
+    def work(s):
+        for _ in range(25):
+            got[s] = normal_pairs(s, 0, 40, (3,))
+            if not (same(got[s][0], want[s][0]) and same(got[s][1], want[s][1])):
+                return
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(s,)) for s in seeds]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for s in seeds:
+        assert same(got[s][0], want[s][0]) and same(got[s][1], want[s][1])
+
+
 @pytest.mark.parametrize("trials,entries", [(0, 4), (1, 4), (10, 4096), (37, 256), (3, 2 ** 20)])
 def test_trial_chunks_partition_within_bound(trials, entries):
     chunks = list(trial_chunks(trials, entries))
@@ -216,7 +259,7 @@ def test_trial_chunks_partition_within_bound(trials, entries):
     assert all(b - a == 1 or (b - a) * entries <= _rng.CHUNK_ENTRIES for a, b in chunks)
 
 
-@pytest.mark.parametrize("rows,cols", [(1, 1), (4, 4), (16, 16), (8, 2), (6, 3)])
+@pytest.mark.parametrize("rows,cols", [(1, 1), (4, 4), (16, 16), (8, 2), (6, 3), (64, 64)])
 def test_haar_isometries_equal_per_trial_draws(rows, cols):
     stack = haar_isometries(61, 3, 12, rows, cols)
     for row, t in enumerate(range(3, 12)):
@@ -225,7 +268,7 @@ def test_haar_isometries_equal_per_trial_draws(rows, cols):
         assert same(one, loop_haar_isometry(rows, cols, stream(61, t)))
 
 
-@pytest.mark.parametrize("d", [1, 2, 16])
+@pytest.mark.parametrize("d", [1, 2, 16, 64, 1024])
 def test_haar_states_equal_haar_random_pure(d):
     lay = SubsystemLayout((d,), ("A",))
     stack = haar_states(67, 0, 9, d)
@@ -249,7 +292,8 @@ def basis_pure(d):
     return DensityOperator(m, SubsystemLayout((d,), ("A",)))
 
 
-@pytest.mark.parametrize("case", ["pure16", "mixed8", "ae8x2", "ae4x4"])
+@pytest.mark.parametrize("case", ["pure16", "mixed8", "ae8x2", "ae4x4", "ae16x2",
+                                  "ae16x4_2x8", "ae16x4_4x4", "ae16x4_8x2"])
 @pytest.mark.parametrize("trials", [2, 37])
 def test_decoupling_per_trial_equals_loop(case, trials, chunk_entries):
     sigma, split = {
@@ -258,11 +302,27 @@ def test_decoupling_per_trial_equals_loop(case, trials, chunk_entries):
                                               env_dim=2), (2, 4)),
         "ae8x2": lambda: (dec.random_sigma_ae(8, 2, stream(5, 0)), (4, 2)),
         "ae4x4": lambda: (dec.random_sigma_ae(4, 4, stream(7, 0)), (2, 2)),
+        "ae16x2": lambda: (dec.random_sigma_ae(16, 2, stream(9, 0)), (4, 4)),
+        "ae16x4_2x8": lambda: (dec.random_sigma_ae(16, 4, stream(13, 0)), (2, 8)),
+        "ae16x4_4x4": lambda: (dec.random_sigma_ae(16, 4, stream(13, 0)), (4, 4)),
+        "ae16x4_8x2": lambda: (dec.random_sigma_ae(16, 4, stream(13, 0)), (8, 2)),
     }[case]()
     rep = dec.decoupling_experiment(dec.DecouplingTrialSet(sigma, split, trials, 11))
     vals = loop_decoupling(sigma, split, trials, 11)
     assert same(rep.per_trial, vals)
     assert rep.mean_l1 == float(vals.mean()) and rep.mc_stderr == stderr(vals)
+
+
+@pytest.mark.parametrize("da,de,split", [(2, 4, (2, 1)), (6, 2, (2, 3)), (64, 4, (8, 8)),
+                                         (128, 2, (2, 64))])
+def test_decoupling_near_loop_where_sums_reorder(da, de, split):
+    """Shapes whose products the BLAS sums in another order without the
+    zero blocks of U x I_E: |A| not a multiple of 4, or |A||E| >= 256.  Per
+    trial they agree with the Kronecker loop to roundoff."""
+    sigma = dec.random_sigma_ae(da, de, stream(23, 0))
+    rep = dec.decoupling_experiment(dec.DecouplingTrialSet(sigma, split, 3, 11))
+    np.testing.assert_allclose(rep.per_trial, loop_decoupling(sigma, split, 3, 11),
+                               rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("d1,d2,trials", [(2, 2, 37), (2, 3, 5), (4, 4, 3), (1, 3, 2)])
