@@ -8,6 +8,7 @@ per-trial results do not depend on how the trials are batched into chunks
 BLAS thread setting.
 """
 
+import math
 import multiprocessing
 # a fork pool's first start imports these two; load them with the package
 import multiprocessing.popen_fork  # noqa: F401
@@ -140,6 +141,11 @@ def check_trials(trials: int) -> None:
     """Refuse a Monte Carlo run too small to give a sample standard error."""
     if trials < 2:
         raise ValueError(f"a Monte Carlo standard error needs at least 2 trials, got {trials}")
+
+
+def stderr(x: np.ndarray) -> float:
+    """Sample standard error of the mean of the per-trial values x."""
+    return float(x.std(ddof=1) / math.sqrt(x.size))
 
 
 def as_generator(seed_or_rng) -> np.random.Generator:

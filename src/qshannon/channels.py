@@ -11,8 +11,11 @@ A degrading map T (T∘N = N_c) has a closed form for erasure.  Every other
 channel goes through one linear solve, S_T = S_c S_N⁺ on superoperators:
 when it leaves S_T S_N ≠ S_c, no linear T exists and None is a certificate
 that N is not degradable.  When S_N is onto, that T is unique and a None from
-its Choi positivity check is a certificate too.  The remaining channels fall
-back to a seeded numerical search, whose None is evidence only.
+its Choi positivity check is a certificate too.  For the remaining channels
+the trace-preserving solutions form an affine set of Choi matrices, and one
+deterministic log-barrier SDP over it returns either a T (Choi λ_min ≥
+-1e-9, clipped) or None with a dual witness that every solution's λ_min is
+below -1e-9.  So both answers of `degrading_map` are certificates.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._rng import stream
 from .linalg import (
     DensityOperator,
     SubsystemLayout,
@@ -35,9 +37,12 @@ CHOI_EQUALITY_TOL = 1e-8
 CHOI_PSD_TOL = 1e-12
 # trace distance between Choi(T∘N) and Choi(N_c) up to which T degrades N
 DEGRADING_TOL = 1e-6
-# the degrading-map search: L-BFGS restarts, each from stream(SEARCH_SEED, r)
-SEARCH_RESTARTS = 10
-SEARCH_SEED = 20240824
+# the degrading-map barrier accepts Choi(T) at λ_min ≥ -SDP_PSD_TOL, and a
+# witness when it bounds every λ_min below -SDP_PSD_TOL
+SDP_PSD_TOL = 1e-9
+# a centring stops at half the squared Newton decrement below this; 1e-10
+# stalls on rounding for some channels
+SDP_NEWTON_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -279,57 +284,108 @@ def _erasure_degrading(p: float, d: int) -> KrausChannel:
                         params={"q": q, "d": d})
 
 
-def _search_degrading(channel: KrausChannel) -> Optional[KrausChannel]:
-    """Numerical search for T with T∘N = N_c, over Stinespring isometries of
-    the candidate degrading map.  Returns None when no candidate comes within
-    DEGRADING_TOL."""
-    from scipy.optimize import minimize
+def _hermitian_complement(span: np.ndarray, rank: int, d: int) -> np.ndarray:
+    """Hilbert-Schmidt orthonormal basis of the Hermitian d x d matrices
+    orthogonal to the column span of `span` (row-major vecs; rank `rank`).
 
-    k = channel.kraus_ops
-    target = choi_matrix(complementary(channel))
-    db, de = channel.dim_out, channel.env_dim
-    env = de  # rank budget for the degrading map
-    nrow = de * env
+    That complement is closed under †, so the Hermitian and anti-Hermitian
+    parts of its complex basis span its Hermitian elements, and the real
+    dimension of those equals the complex dimension of the complement.  X ↦ X†
+    is not complex-linear, so the basis is taken over the real embedding
+    (Re X, Im X), on which Hermitian matrices keep the Hilbert-Schmidt inner
+    product."""
+    u = np.linalg.svd(span)[0][:, rank:].T.reshape(-1, d, d)
+    herm = np.concatenate([u + dagger(u), 1j * (u - dagger(u))])
+    flat = np.concatenate([herm.real, herm.imag], axis=1).reshape(len(herm), 2 * d * d)
+    v = np.linalg.svd(flat, full_matrices=False)[2][: len(u)]
+    return (v[:, : d * d] + 1j * v[:, d * d:]).reshape(-1, d, d)
 
-    def kraus_from(x: np.ndarray) -> np.ndarray:
-        z = (x[: nrow * db] + 1j * x[nrow * db:]).reshape(nrow, db)
-        # project onto the isometry manifold so the candidate is always CPTP
-        gram = dagger(z) @ z
-        vals, vecs = np.linalg.eigh(gram)
-        inv_sqrt = (vecs * (1 / np.sqrt(np.clip(vals, 1e-12, None)))) @ dagger(vecs)
-        w = z @ inv_sqrt
-        return w.reshape(de, env, db).transpose(1, 0, 2)
 
-    def objective(x: np.ndarray) -> float:
-        diff = _choi(_compose_ops(kraus_from(x), k)) - target
-        return float(np.sum(np.abs(diff) ** 2))
+def _choi_affine_set(s_n: np.ndarray, choi: np.ndarray, rank: int, de: int,
+                     db: int) -> tuple[np.ndarray, np.ndarray]:
+    """(X0, B): the trace-one Choi matrices of the Hermiticity-preserving,
+    trace-preserving T: B -> E with S_T S_N = S_c are X0 + sum_i x_i B_i.
 
-    best = None
-    best_val = np.inf
-    for r in range(SEARCH_RESTARTS):
-        rng = stream(SEARCH_SEED, r)
-        x0 = rng.standard_normal(2 * nrow * db)
-        res = minimize(objective, x0, method="L-BFGS-B",
-                       options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-12})
-        if res.fun < best_val:
-            best_val = res.fun
-            best = res.x
-    if best is None:
-        return None
-    t = KrausChannel(kraus_from(best), db, de)
-    residual = trace_distance(choi_matrix(compose(t, channel)), target)
-    return t if residual <= DEGRADING_TOL else None
+    `choi` is Choi(S_c S_N⁺), which vanishes off the range of S_N (of rank
+    `rank`).  T is free on the Hermitian U_j orthogonal to that range up to
+    trace preservation, so B_i = G_v ⊗ conj(U_j) over the traceless Hermitian
+    G_v on E: orthonormal and traceless.  X0 adds to `choi` the map
+    U_j ↦ tr(U_j) I/|E|, which makes it trace preserving; X0 is the
+    least-squares point of the constraints, orthogonal to every B_i."""
+    u = _hermitian_complement(s_n, rank, db)
+    g = _hermitian_complement(np.eye(de).reshape(-1, 1), 1, de)
+    basis = np.einsum("vef,jbc->vjebfc", g, u.conj()).reshape(-1, de * db, de * db)
+    fill = np.einsum("j,jbc->bc", np.trace(u, axis1=1, axis2=2), u)
+    x0 = choi + np.kron(np.eye(de) / de, fill.conj()) / db
+    return (x0 + dagger(x0)) / 2, basis
+
+
+def _barrier(x0: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Decide whether some X = X0 + sum_i x_i B_i is PSD (B_i orthonormal and
+    traceless, X0 orthogonal to them): maximise t subject to X - tI ⪰ 0.
+
+    Newton's method minimises s*(-t) - log det Z, Z = X - tI, over (x, t):
+    damped steps y -= H⁻¹g / (1 + λ) keep Z ≻ 0, and a centring stops at
+    λ²/2 < SDP_NEWTON_TOL.  After each centring s grows tenfold, and
+    - (X, True) is returned once λ_min(X) ≥ -SDP_PSD_TOL;
+    - (W, False) is returned for W = Z⁻¹/tr Z⁻¹ projected onto
+      {tr(W B_i) = 0}, once W ⪰ 0 and tr(W X0) < -SDP_PSD_TOL.  Then for
+      every x, λ_min(X) ≤ tr(W X) = tr(W X0): no X is PSD.
+    Raises RuntimeError when the path ends without either."""
+    n, m = len(x0), len(basis)
+    directions = np.concatenate([basis, -np.eye(n)[None]])      # d/dx_i, d/dt
+    y = np.zeros(m + 1)
+    y[m] = np.linalg.eigvalsh(x0)[0] - 1
+    s = 1.0
+    # s runs from 1 to 1e15; a centring cut at 50 steps still gets both
+    # checks, which hold at any point of the path
+    for _ in range(16):
+        for _ in range(50):
+            t = y[m]
+            z = x0 + np.tensordot(y, directions, 1)
+            lam, q = np.linalg.eigh(z)
+            r = q / np.sqrt(lam)
+            # tr(Z⁻¹ D_i Z⁻¹ D_j) = tr(M_i M_j) with M_i = Z^{-1/2} D_i Z^{-1/2}
+            mi = dagger(r) @ directions @ r
+            grad = -np.trace(mi, axis1=1, axis2=2).real
+            grad[m] -= s
+            flat = mi.view(float).reshape(m + 1, -1)
+            step = np.linalg.solve(flat @ flat.T, -grad)
+            decrement = -grad @ step
+            if decrement / 2 < SDP_NEWTON_TOL:
+                break
+            y += step / (1 + np.sqrt(decrement))
+        if lam[0] + t >= -SDP_PSD_TOL:
+            return z + t * np.eye(n), True
+        w = (q / lam) @ dagger(q)
+        w /= np.trace(w).real
+        w -= np.tensordot(np.einsum("kl,ikl->i", w, basis.conj()).real, basis, 1)
+        if np.linalg.eigvalsh(w)[0] >= 0 and np.trace(w @ x0).real < -SDP_PSD_TOL:
+            return w, False
+        s *= 10
+    raise RuntimeError("degrading-map barrier ended with neither a map nor a witness")
+
+
+def _kraus_from_choi(vals: np.ndarray, vecs: np.ndarray, de: int, db: int) -> np.ndarray:
+    """Kraus tensor of T: B -> E from the eigenpairs of its trace-one Choi
+    matrix, dropping eigenvalues at or below CHOI_PSD_TOL."""
+    keep = vals > CHOI_PSD_TOL
+    return (vecs[:, keep] * np.sqrt(db * vals[keep])).T.reshape(-1, de, db)
 
 
 def degrading_map(channel: KrausChannel) -> Optional[KrausChannel]:
-    """T with T∘N = N_c, or None.
+    """T with T∘N = N_c, or None; either answer is a certificate.
 
     Erasure has a closed form (None for p > 1/2).  Every other channel first
     solves S_T = S_c S_N⁺ (Cubitt-Ruskai-Smith, arXiv:0802.1360): if
     S_T S_N ≠ S_c, no linear T exists and None certifies non-degradability.
     If S_N is onto, S_T is the unique solution, and None certifies that its
-    Choi matrix has an eigenvalue below -CHOI_PSD_TOL.  Otherwise a seeded
-    numerical search runs, whose None is evidence, not a certificate."""
+    Choi matrix has an eigenvalue below -CHOI_PSD_TOL.  Otherwise the Choi
+    matrices of the trace-preserving solutions form an affine set, and a
+    deterministic log-barrier SDP (`_barrier`) finds one with λ_min ≥
+    -SDP_PSD_TOL, or a dual witness that every one has λ_min < -SDP_PSD_TOL,
+    for None.  The found Choi matrix is clipped to PSD, and K_j ← K_j M^{-1/2}
+    with M = Σ K_j†K_j restores trace preservation."""
     if channel.kind == "erasure":
         p, d = channel.params["p"], channel.params["d"]
         if p <= 0.5:
@@ -341,16 +397,21 @@ def degrading_map(channel: KrausChannel) -> Optional[KrausChannel]:
     s_t = s_c @ np.linalg.pinv(s_n)
     if np.max(np.abs(s_t @ s_n - s_c)) > COMPLETENESS_TOL:
         return None
-    if np.linalg.matrix_rank(s_n) < db * db:
-        return _search_degrading(channel)
     # reshuffle S_T[(e, f), (b, c)] into the trace-one Choi[(e, b), (f, c)]
     choi = s_t.reshape(de, de, db, db).transpose(0, 2, 1, 3).reshape(de * db, de * db) / db
+    rank = np.linalg.matrix_rank(s_n)
+    if rank < db * db:
+        x, degradable = _barrier(*_choi_affine_set(s_n, choi, rank, de, db))
+        if not degradable:
+            return None
+        ops = _kraus_from_choi(*np.linalg.eigh(x), de, db)
+        v = ops.reshape(-1, db)
+        m_vals, m_vecs = np.linalg.eigh(dagger(v) @ v)
+        return KrausChannel(ops @ ((m_vecs / np.sqrt(m_vals)) @ dagger(m_vecs)), db, de)
     vals, vecs = np.linalg.eigh((choi + dagger(choi)) / 2)
     if vals[0] < -CHOI_PSD_TOL:
         return None
-    keep = vals > CHOI_PSD_TOL
-    ops = (vecs[:, keep] * np.sqrt(db * vals[keep])).T.reshape(-1, de, db)
-    return KrausChannel(ops, db, de)
+    return KrausChannel(_kraus_from_choi(vals, vecs, de, db), db, de)
 
 
 def is_degradable(channel: KrausChannel) -> bool:

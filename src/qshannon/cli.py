@@ -175,7 +175,7 @@ def run_entropy(config):
         rho = density_from_matrix(parse_matrix(params["state"]))
         results = {
             "von_neumann_entropy": ent.von_neumann_entropy(rho),
-            "purity": float((rho.matrix @ rho.matrix).trace().real),
+            "purity": rho.purity(),
             "eigenvalues": [float(v) for v in rho.eigenvalues()],
         }
         return results, None, False

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rng import as_generator, check_trials, run_trials, trial_chunks
+from ._rng import as_generator, check_trials, run_trials, stderr, trial_chunks
 from .channels import KrausChannel, dilate
 from .entropy import row_entropies
 from .linalg import (
@@ -78,10 +78,6 @@ class DecouplingReport:
 def _l1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """||a - b||_1 of each Hermitian matrix a in a stack against b."""
     return np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1)
-
-
-def _stderr(x: np.ndarray) -> float:
-    return float(x.std(ddof=1) / math.sqrt(x.size))
 
 
 def purity(m: np.ndarray) -> float:
@@ -143,7 +139,7 @@ def decoupling_experiment(t: DecouplingTrialSet) -> DecouplingReport:
     vals = run_trials(_decoupling_trials, t.trials, (da * de) ** 2,
                       sigma.matrix, target, t.split, de, t.seed)
     bound = decoupling_bound(sigma, t.split)
-    return DecouplingReport(float(vals.mean()), bound, vals, _stderr(vals))
+    return DecouplingReport(float(vals.mean()), bound, vals, stderr(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +260,7 @@ def projected_decoupling_experiment(psi_ra, channel: KrausChannel, d_r2: int,
         s_r2e = np.einsum("nqbe,npbf->nqepf", proj, proj.conj()).reshape(
             b - a, d_r2 * d_e, d_r2 * d_e)
         vals[a:b] = np.where(live, _l1(s_r2e, target), 0.0)
-    return DecouplingReport(float(vals.mean()), bound, vals, _stderr(vals))
+    return DecouplingReport(float(vals.mean()), bound, vals, stderr(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +364,7 @@ def black_hole_mirror_batch(n: int, k: int, cs: Sequence[int], age: str,
     reports = []
     for c, kp, vals in zip(cs, kps, per_c):
         mean = float(vals.mean())
-        reports.append(MirrorReport(1.0 - mean, 1.0 - 2.0 ** (-c), mean, _stderr(vals), kp, vals))
+        reports.append(MirrorReport(1.0 - mean, 1.0 - 2.0 ** (-c), mean, stderr(vals), kp, vals))
     return reports
 
 
@@ -417,7 +413,7 @@ def random_subsystem_entropy(d1: int, d2: int, trials: int, seed: int) -> Subsys
         ev = np.clip(np.linalg.eigvalsh(m @ dagger(m)), 0.0, None)
         vals[a:b] = row_entropies(ev, 1e-14, np.log2)
     bound = math.log2(d2) - d2 / (2 * d1 * math.log(2)) if d2 > 1 else 0.0
-    return SubsystemEntropyReport(float(vals.mean()), bound, _stderr(vals), page_mean(d1, d2))
+    return SubsystemEntropyReport(float(vals.mean()), bound, stderr(vals), page_mean(d1, d2))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rng import check_trials, stream, trial_chunks
+from ._rng import check_trials, stderr, stream, trial_chunks
 from .entropy import (conditional_mutual_classical, holevo_chi, row_entropies, shannon_entropy,
                       von_neumann_entropy)
 from .linalg import DensityOperator, dagger, haar_states
@@ -252,6 +252,5 @@ def haar_information_gain(d: int, trials: int, seed: int) -> InfoGainReport:
         p = np.abs(haar_states(seed, a, b, d)) ** 2
         cond[a:b] = row_entropies(p, 1e-300, np.log)
     est = math.log(d) - float(cond.mean())
-    stderr = float(cond.std(ddof=1) / math.sqrt(trials))
     ln2 = math.log(2)
-    return InfoGainReport(exact, exact / ln2, est, est / ln2, stderr, trials)
+    return InfoGainReport(exact, exact / ln2, est, est / ln2, stderr(cond), trials)

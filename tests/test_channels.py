@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_state
+from test_imports import run_fresh
 from qshannon._rng import stream
 from qshannon import channels as ch
 from qshannon.entropy import von_neumann_entropy
 from qshannon.linalg import (
     density_from_matrix,
+    haar_isometry,
     maximally_mixed,
     partial_trace,
     qubits,
@@ -240,6 +242,29 @@ class TestCompose:
             ch.compose(ch.identity_channel(3), ch.identity_channel(2))
 
 
+def bare(channel):
+    """The channel's Kraus tensor without its catalog kind, so no closed form
+    is used."""
+    return ch.KrausChannel(channel.kraus_ops, channel.dim_in, channel.dim_out)
+
+
+def random_qubit_to_qutrit(index):
+    """Two Kraus operators 2 -> 3 from a Haar isometry 2 -> 6."""
+    q = haar_isometry(6, 2, stream(20261018, index))
+    return ch.KrausChannel(q.reshape(3, 2, 2).transpose(1, 0, 2), 2, 3)
+
+
+# channels whose superoperator is not onto, each with the answer it must get
+# (None: either answer, with its certificate)
+NOT_ONTO = {
+    **{f"erasure_{p}": (bare(ch.erasure(p)), p <= 0.5) for p in (0.01, 0.1, 0.25, 0.5, 0.6, 0.9)},
+    **{f"dephasing_{d}": (bare(ch.completely_dephasing(d)), True) for d in (2, 3, 4)},
+    **{f"random_{i}": (random_qubit_to_qutrit(i), None) for i in range(10)},
+    # one Kraus operator: |E| = 1, so the affine set is a single point
+    "isometry": (ch.KrausChannel(haar_isometry(3, 2, stream(20261018, 10))[None], 2, 3), True),
+}
+
+
 class TestDegradability:
     @pytest.mark.parametrize("p", [0.1, 0.25, 0.4])
     def test_amplitude_damping_closed_form(self, p):
@@ -265,55 +290,84 @@ class TestDegradability:
         assert not ch.is_degradable(ch.amplitude_damping(0.8))
 
     @pytest.fixture
-    def no_search(self, monkeypatch):
+    def no_barrier(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("the numerical search ran")
-        monkeypatch.setattr(ch, "_search_degrading", refuse)
+            raise AssertionError("the degrading-map barrier ran")
+        monkeypatch.setattr(ch, "_barrier", refuse)
 
-    def test_exact_map_matches_amplitude_damping_closed_form(self, no_search):
+    @pytest.fixture
+    def barrier_calls(self, monkeypatch):
+        """Every (X0, B, matrix, found) the barrier sees and returns."""
+        calls, barrier = [], ch._barrier
+
+        def record(x0, basis):
+            out = barrier(x0, basis)
+            calls.append((x0, basis, *out))
+            return out
+        monkeypatch.setattr(ch, "_barrier", record)
+        return calls
+
+    def test_exact_map_matches_amplitude_damping_closed_form(self, no_barrier):
         p = 0.3
-        bare = ch.KrausChannel(ch.amplitude_damping(p).kraus_ops, 2, 2)
-        t = ch.degrading_map(bare)
+        t = ch.degrading_map(bare(ch.amplitude_damping(p)))
         closed = ch.amplitude_damping((1 - 2 * p) / (1 - p))
         assert np.max(np.abs(ch.choi_matrix(t) - ch.choi_matrix(closed))) <= 1e-12
 
     # the last three are not onto; no linear T exists for them
     @pytest.mark.parametrize("channel", [
-        ch.KrausChannel(ch.amplitude_damping(0.6).kraus_ops, 2, 2),
-        ch.depolarizing(0.1), ch.depolarizing(0.3),
-        ch.KrausChannel(ch.amplitude_damping(1.0).kraus_ops, 2, 2),
+        bare(ch.amplitude_damping(0.6)), ch.depolarizing(0.1), ch.depolarizing(0.3),
+        bare(ch.amplitude_damping(1.0)),
         ch.from_classical(ch.bsc(0.1)),
         ch.cq_channel(np.eye(2), [np.diag([0.7, 0.3]), np.full((2, 2), 0.5)])],
         ids=["ad_0.6", "dep_0.1", "dep_0.3", "ad_1", "classical_bsc", "cq"])
-    def test_exact_map_certifies_non_degradable(self, no_search, channel):
+    def test_exact_map_certifies_non_degradable(self, no_barrier, channel):
         assert ch.degrading_map(channel) is None
         assert not ch.is_degradable(channel)
 
-    def test_exact_map_on_dephasing(self, no_search):
+    def test_exact_map_on_dephasing(self, no_barrier):
         channel = ch.generalized_dephasing(np.array([[1.0, 0.6], [0.6, 1.0]]))
         t = ch.degrading_map(channel)
         assert trace_distance(ch.choi_matrix(ch.compose(t, channel)),
                               ch.choi_matrix(ch.complementary(channel))) <= 1e-8
 
-    def test_search_runs_when_superoperator_is_not_onto(self, monkeypatch):
-        calls = []
-        search = ch._search_degrading
-        monkeypatch.setattr(ch, "_search_degrading",
-                            lambda channel: calls.append(channel) or search(channel))
+    def test_barrier_runs_when_superoperator_is_not_onto(self, barrier_calls):
         channel = ch.completely_dephasing(2)
         t = ch.degrading_map(channel)
-        assert len(calls) == 1
+        assert len(barrier_calls) == 1
         assert trace_distance(ch.choi_matrix(ch.compose(t, channel)),
                               ch.choi_matrix(ch.complementary(channel))) < 1e-6
 
-    def test_numerical_search_on_dephasing(self):
-        # generalized dephasing is degradable; the search has no closed form here
-        g = np.array([[1.0, 0.6], [0.6, 1.0]])
-        channel = ch.generalized_dephasing(g)
+    @pytest.mark.parametrize("name", NOT_ONTO)
+    def test_barrier_answer_is_certified(self, barrier_calls, name):
+        channel, expected = NOT_ONTO[name]
         t = ch.degrading_map(channel)
-        assert t is not None
-        assert trace_distance(ch.choi_matrix(ch.compose(t, channel)),
-                              ch.choi_matrix(ch.complementary(channel))) < 1e-6
+        [(x0, basis, out, found)] = barrier_calls
+        assert found == (t is not None) and expected in (None, found)
+        # the affine set: X0 is trace one and orthogonal to the orthonormal,
+        # traceless, Hermitian B_i
+        flat = basis.reshape(len(basis), x0.size)
+        for err in (flat.conj() @ flat.T - np.eye(len(basis)),
+                    basis - basis.conj().transpose(0, 2, 1),
+                    np.trace(basis, axis1=1, axis2=2), flat.conj() @ x0.reshape(-1)):
+            assert np.max(np.abs(err), initial=0.0) <= 1e-12
+        assert np.trace(x0).real == pytest.approx(1.0, abs=1e-12)
+        if found:
+            assert np.linalg.eigvalsh(out)[0] >= -ch.SDP_PSD_TOL
+            assert trace_distance(ch.choi_matrix(ch.compose(t, channel)),
+                                  ch.choi_matrix(ch.complementary(channel))) <= ch.DEGRADING_TOL
+        else:
+            w = out
+            assert np.linalg.eigvalsh(w)[0] >= 0
+            assert max(abs(np.trace(w @ b)) for b in basis) <= 1e-12
+            assert np.trace(w @ x0).real < 0
+
+    def test_barrier_answers_do_not_depend_on_blas_threads(self):
+        code = ("from qshannon import channels as ch\n"
+                "from test_channels import NOT_ONTO\n"
+                "print([ch.degrading_map(c) is not None for c, _ in NOT_ONTO.values()])")
+        answers = repr([ch.degrading_map(c) is not None for c, _ in NOT_ONTO.values()])
+        for threads in ("1", "2"):
+            assert run_fresh(code, OPENBLAS_NUM_THREADS=threads) == answers
 
 
 @settings(max_examples=20, deadline=None)
