@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 a verification check failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -332,6 +333,18 @@ def load_schema() -> dict:
         return json.load(f)
 
 
+@functools.cache
+def _report_validator():
+    """The report schema's validator, with the schema checked against its
+    metaschema once per process rather than on every report."""
+    from jsonschema.validators import validator_for
+
+    schema = load_schema()
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def _sanitize(obj):
     """Make results JSON-serializable (numpy scalars, inf -> string)."""
     import numpy as np
@@ -358,9 +371,7 @@ def emit_report(config: dict, results: dict, csv_rows, out, fmt: str,
     else:
         report = {"config": config, "results": _sanitize(results),
                   "wall_time": wall_time}
-        import jsonschema
-
-        jsonschema.validate(report, load_schema())
+        _report_validator().validate(report)
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out:
         with open(out, "w") as f:

@@ -80,10 +80,6 @@ def _l1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1)
 
 
-def purity(m: np.ndarray) -> float:
-    return float(np.trace(m @ m).real)
-
-
 def decoupling_bound(sigma_ae: DensityOperator, split: tuple[int, int]) -> float:
     """sqrt(|A2| |E| / |A1| * tr(sigma_AE^2)); |E| = 1 when there is no E."""
     da = sigma_ae.layout.dims[0]
@@ -91,7 +87,7 @@ def decoupling_bound(sigma_ae: DensityOperator, split: tuple[int, int]) -> float
     if d1 * d2 != da:
         raise ValueError(f"split {split} does not factor |A| = {da}")
     de = sigma_ae.layout.dims[1] if len(sigma_ae.layout.dims) > 1 else 1
-    return math.sqrt(d2 * de / d1 * purity(sigma_ae.matrix))
+    return math.sqrt(d2 * de / d1 * sigma_ae.purity())
 
 
 def _decoupling_trials(m: np.ndarray, target: np.ndarray, split: tuple[int, int], de: int,
@@ -246,7 +242,8 @@ def projected_decoupling_experiment(psi_ra, channel: KrausChannel, d_r2: int,
     phi = (amps @ v_dil.T).reshape(d_r, d_b, d_e)   # indices (r, b, e)
     sigma_re = np.einsum("rbe,sbf->resf", phi, phi.conj()).reshape(d_r * d_e, d_r * d_e)
     sigma_e = np.einsum("rbe,rbf->ef", phi, phi.conj())
-    bound = math.sqrt(d_r2 * d_e * purity(sigma_re))
+    purity = DensityOperator(sigma_re, SubsystemLayout((d_r, d_e), ("R", "E"))).purity()
+    bound = math.sqrt(d_r2 * d_e * purity)
     target = np.kron(np.eye(d_r2) / d_r2, sigma_e)
 
     vals = np.empty(trials)

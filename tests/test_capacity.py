@@ -37,6 +37,60 @@ class TestBlahutArimoto:
         with pytest.raises(ValueError):
             cap.blahut_arimoto(np.array([[0.5, 0.5], [0.2, 0.5]]))
 
+    def test_certificate_on_random_channels(self):
+        # the upper bound is recomputed here from the returned input alone
+        rng = np.random.default_rng(2024)
+        tol = 1e-9
+        for i in range(400):
+            dy, dx = ((4, 3), (3, 5))[i % 2]
+            w = rng.dirichlet(np.ones(dy), size=dx).T
+            res = cap.blahut_arimoto(w, tol=tol)
+            assert res.converged and res.iterations <= 100
+            assert -1e-12 <= divergence_upper(w, res.argmax) - res.value <= tol + 1e-12
+            assert res.value == pytest.approx(mutual_information(w, res.argmax), abs=1e-14)
+
+    def test_boundary_optimum(self):
+        # the third input is a mixture of the first two, so C is the BSC's
+        # and the optimum puts no weight on it
+        w = np.array([[0.9, 0.1, 0.88], [0.1, 0.9, 0.12]])
+        res = cap.blahut_arimoto(w)
+        assert res.converged and res.iterations <= 100
+        assert res.value == pytest.approx(1 - cap.binary_entropy(0.1), abs=1e-9)
+        assert res.argmax[2] <= 1e-6
+
+    def test_output_no_input_produces(self):
+        w = np.array([[0.7, 0.2], [0.0, 0.0], [0.3, 0.8]])
+        res = cap.blahut_arimoto(w)
+        assert res.converged
+        assert res.value == pytest.approx(cap.blahut_arimoto(w[[0, 2]]).value, abs=1e-9)
+        assert -1e-12 <= divergence_upper(w, res.argmax) - res.value <= 1e-9 + 1e-12
+
+    def test_single_input(self):
+        res = cap.blahut_arimoto(np.array([[0.3], [0.7]]))
+        assert res.converged and res.value == 0.0 and res.argmax.tolist() == [1.0]
+
+    def test_max_iter_reports_the_gap(self):
+        w = np.array([[0.9, 0.2], [0.1, 0.8]])
+        res = cap.blahut_arimoto(w, max_iter=2)
+        assert not res.converged and res.iterations == 2
+        assert res.gap_estimate == pytest.approx(divergence_upper(w, res.argmax) - res.value,
+                                                 abs=1e-15)
+        assert res.gap_estimate > 1e-9
+
+
+def divergence_upper(w, r):
+    """max_x D(W(.|x) || W r) in bits."""
+    q = w @ r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(w > 0, w * (np.log2(w) - np.log2(q)[:, None]), 0.0)
+    return float(terms.sum(axis=0).max())
+
+
+def mutual_information(w, r):
+    """I(X;Y) = H(Y) - H(Y|X) in bits for input distribution r."""
+    h = lambda p: -sum(x * np.log2(x) for x in p if x > 0)
+    return h(w @ r) - sum(rx * h(col) for rx, col in zip(r, w.T))
+
 
 class TestOneShotQuantum:
     def test_identity_channel(self):

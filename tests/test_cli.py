@@ -103,6 +103,15 @@ class TestSchema:
         assert code == 0
         jsonschema.validate(json.loads(out), cli.load_schema())
 
+    def test_rejected_report_raises_on_every_call(self):
+        # the validator is built once per process; a second bad report must
+        # still be checked
+        import jsonschema
+
+        for _ in range(2):
+            with pytest.raises(jsonschema.ValidationError):
+                cli.emit_report({"command": 3}, {}, None, None, "json", 0.0)
+
 
 class TestDeterminism:
     def test_byte_identical_modulo_wall_time(self, tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from qshannon._rng import stream
 from qshannon import decoupling as dec
-from qshannon.channels import erasure, identity_channel
+from qshannon.channels import amplitude_damping, dilate, erasure, identity_channel
 from qshannon.measure import haar_information_gain
 from qshannon.linalg import (
     DensityOperator,
@@ -48,6 +48,12 @@ class TestBoundAndExperiment:
     def test_bound_formula(self):
         sigma = basis_pure(8)
         assert dec.decoupling_bound(sigma, (4, 2)) == pytest.approx(math.sqrt(2 / 4))
+
+    def test_bound_is_the_bare_purity_formula_bit_for_bit(self):
+        sigma = dec.random_sigma_ae(8, 2, stream(7, 0))
+        m = sigma.matrix
+        expected = math.sqrt(2 * 2 / 4 * float(np.trace(m @ m).real))
+        assert dec.decoupling_bound(sigma, (4, 2)) == expected
 
     def test_bad_split_rejected(self):
         with pytest.raises(ValueError):
@@ -124,6 +130,20 @@ class TestProjectedDecoupling:
         rep = dec.projected_decoupling_experiment(psi, erasure(0.25, 4), 2,
                                                   trials=30, seed=29)
         assert rep.satisfied()
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.2, 0.45])
+    @pytest.mark.parametrize("seed", [3, 41])
+    def test_bound_is_the_bare_purity_formula_bit_for_bit(self, gamma, seed):
+        # the benchmark's projected-decoupling instance: |R| = 8, |A| = 2,
+        # |R2| = 2 through amplitude damping
+        psi = haar_random_pure(SubsystemLayout((8, 2), ("R", "A")), stream(seed, 100))
+        channel = amplitude_damping(gamma)
+        d_e = channel.env_dim
+        phi = (psi.amplitudes.reshape(8, 2) @ dilate(channel).T).reshape(8, 2, d_e)
+        sigma_re = np.einsum("rbe,sbf->resf", phi, phi.conj()).reshape(8 * d_e, 8 * d_e)
+        bound = math.sqrt(2 * d_e * float(np.trace(sigma_re @ sigma_re).real))
+        rep = dec.projected_decoupling_experiment(psi, channel, 2, trials=2, seed=seed)
+        assert rep.bound == bound
 
     def test_invalid_split(self):
         lay = SubsystemLayout((4, 2), ("R", "A"))

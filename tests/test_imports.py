@@ -85,6 +85,18 @@ def test_entanglement_assisted_capacity_loads_no_scipy():
     assert run_fresh(code) == "True []"
 
 
+def test_classical_capacity_loads_no_scipy():
+    # the uniform input is optimal for the BSC; the asymmetric binary
+    # channel takes Newton steps
+    code = ("import sys\n"
+            "from qshannon import capacity, channels\n"
+            "r = capacity.blahut_arimoto(channels.bsc(0.11))\n"
+            "z = capacity.blahut_arimoto([[0.9, 0.2], [0.1, 0.8]])\n"
+            "print(r.converged, z.converged and z.iterations > 0,"
+            " sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert run_fresh(code) == "True True []"
+
+
 def test_is_degradable_loads_no_scipy():
     # completely dephasing is not onto, so this runs the degrading-map barrier
     code = ("import sys\n"
