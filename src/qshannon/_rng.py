@@ -6,6 +6,12 @@ Every stochastic routine in the package draws from a Philox stream keyed by
 per-trial results do not depend on how the trials are batched into chunks
 (`trial_chunks`) or sharded across processes (`run_trials`), at a fixed
 BLAS thread setting.
+
+A trial loop need not construct stream(seed, t) for each trial:
+`keyed_stream(seed, t)` re-keys one Philox generator per thread to the
+state stream(seed, t) starts from and returns it, so the trial's draws are
+the same numbers at a fraction of the cost.  The returned generator is
+valid only until the next re-key on the same thread.
 """
 
 import math
@@ -45,9 +51,9 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
 
 
 def _keyed_generator():
-    """This thread's Philox generator and the plain-list state that `normal_pairs`
-    re-keys it from, made once per thread: a new Philox gathers OS entropy
-    before its key is set."""
+    """This thread's Philox generator and the plain-list state that
+    `keyed_stream` and `normal_pairs` re-key it from, made once per thread:
+    a new Philox gathers OS entropy before its key is set."""
     try:
         return _local.keyed
     except AttributeError:
@@ -58,13 +64,26 @@ def _keyed_generator():
         return _local.keyed
 
 
+def keyed_stream(seed: int, index: int = 0) -> np.random.Generator:
+    """This thread's generator, re-keyed to the state stream(seed, index)
+    starts from (key (seed, index), counter 0, empty buffer): it makes the
+    draws stream(seed, index) makes.  It is valid only until the next
+    re-key on the same thread (a keyed_stream or normal_pairs call)."""
+    bitgen, gen, state = _keyed_generator()
+    key = state["state"]["key"]
+    key[0] = int(seed) & _KEY_MASK
+    key[1] = int(index) & _KEY_MASK
+    bitgen.state = state
+    return gen
+
+
 def normal_pairs(seed: int, start: int, stop: int,
                  shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """(re, im) arrays of shape (stop - start, *shape) whose row t - start
     holds the two draws stream(seed, t).standard_normal(shape) makes in turn.
 
-    One Philox generator is re-keyed for every trial (key (seed, t), counter
-    0, empty buffer), which is the state stream(seed, t) starts from, and
+    One Philox generator is re-keyed for every trial, as `keyed_stream`
+    does, with the seed half of the key set once for the whole range, and
     makes one draw of shape (2, *shape): the generator just continues from
     the first half into the second, as it does between two draws."""
     bitgen, gen, state = _keyed_generator()

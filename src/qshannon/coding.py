@@ -2,13 +2,23 @@
 Slepian-Wolf binning, random coding over the binary symmetric channel,
 block compression of quantum sources, and entanglement concentration.
 
-Exhaustive quantities are computed exactly by enumerating sequence type
-classes (compositions) with multinomial weights, which keeps the census and
-the quantum-compression numbers exact far beyond naive enumeration.  The
-Schumacher fidelity and Ky Fan bound never enumerate sequences: they sum
-over type classes, with dynamic programs over partial count vectors, so
-their cost is polynomial in the block length n.  Hard enumeration caps
-trigger clear errors instead of silent sampling.
+Exhaustive quantities are computed exactly over sequence type classes
+(compositions) with multinomial weights, which keeps the census and the
+quantum-compression numbers exact far beyond naive enumeration.  Every type
+of a block is one row of an int array (`_type_table`), whose per-letter
+rates are computed for all rows at once, adding the terms letter by letter
+as a scalar loop would; class sizes stay exact Python ints.  The Schumacher
+fidelity and Ky Fan bound never enumerate sequences: they sum over type
+classes, with one array dynamic program over partial count vectors
+(`_count_sums`) for all letter types at once, so their cost is polynomial
+in the block length n.  Hard enumeration caps trigger clear errors instead
+of silent sampling.
+
+The Monte Carlo simulators draw trial t from `keyed_stream(seed, t)`, the
+numbers `stream(seed, t)` gives, and do the per-trial decoding as array
+work: a chunk of BSC trials is decoded as one stack, and a Slepian-Wolf
+trial makes one binomial draw per bin scan from a table built once per
+y-composition.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._rng import check_trials, stream
+from ._rng import check_trials, keyed_stream, stream, trial_chunks
 from .entropy import shannon_entropy, validate_prob_dist
 from .linalg import DensityOperator, density_from_matrix, eig_hermitian
 
@@ -89,37 +99,53 @@ def is_typical(x: Sequence[int], p, spec: TypicalitySpec) -> bool:
     return h - spec.delta <= rate <= h + spec.delta
 
 
-def _compositions(n: int, d: int):
-    """All count vectors of length d summing to n."""
-    if d == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, d - 1):
-            yield (first,) + rest
+def _type_table(n: int, d: int) -> np.ndarray:
+    """Every count vector of length d summing to n (the letter types of
+    length-n sequences over d letters) as the rows of an int array, in
+    lexicographically ascending order."""
+    # stars and bars: the bar positions in lexicographic order give the
+    # counts in lexicographic order
+    combos = list(itertools.combinations(range(n + d - 1), d - 1))
+    bars = np.array(combos, dtype=np.int64).reshape(len(combos), d - 1)
+    ends = np.full((len(bars), 1), n + d - 1)
+    return np.diff(np.hstack([np.full((len(bars), 1), -1), bars, ends]), axis=1) - 1
 
 
-def _multinomial(counts: Sequence[int]) -> int:
-    total = sum(counts)
-    out = 1
-    rem = total
-    for c in counts:
-        out *= math.comb(rem, c)
-        rem -= c
-    return out
+def _multinomials(types: np.ndarray) -> list[int]:
+    """Exact multinomial coefficient of each row of counts, as Python ints."""
+    if not len(types):
+        return []
+    fact = np.array([math.factorial(i) for i in range(int(types.max()) + 1)], dtype=object)
+    n = int(types[0].sum())
+    return (math.factorial(n) // np.prod(fact[types], axis=1)).tolist()
 
 
-def _type_rate(counts: Sequence[int], logp: np.ndarray) -> float:
-    """-(1/n) log2 of any sequence with these letter counts; inf if impossible."""
-    n = sum(counts)
-    total = 0.0
-    for c, lp in zip(counts, logp):
-        if c == 0:
-            continue
+def _type_rates(types: np.ndarray, logp: np.ndarray, n: int) -> np.ndarray:
+    """-(1/n) log2 of any sequence with each row's letter counts; inf if
+    impossible.  The terms c * logp are added letter by letter from 0.0, as
+    a loop over one type adds them; a zero count adds nothing and a positive
+    count on a zero-probability letter gives inf."""
+    total = np.zeros(len(types))
+    impossible = np.zeros(len(types), dtype=bool)
+    for counts, lp in zip(types.T, logp.tolist()):
         if lp == -math.inf:
-            return math.inf
-        total += c * lp
-    return -total / n
+            impossible |= counts > 0
+        else:
+            total += counts * lp      # a zero count adds +-0.0: no change
+    rates = -total / n
+    rates[impossible] = math.inf
+    return rates
+
+
+def _typical_classes(n: int, logp: np.ndarray, h: float, delta: float):
+    """The letter types of length-n sequences whose rate lies within delta
+    of h, in lexicographic order: their counts (tuples), the log2
+    probability of one sequence of the type, and the class sizes (ints)."""
+    types = _type_table(n, logp.size)
+    rates = _type_rates(types, logp, n)
+    keep = (h - delta <= rates) & (rates <= h + delta)
+    counts = [tuple(c) for c in types[keep].tolist()]
+    return counts, -rates[keep] * n, _multinomials(types[keep])
 
 
 @dataclass(frozen=True)
@@ -142,12 +168,9 @@ def typical_set_census(p, spec: TypicalitySpec) -> CensusReport:
     logp = np.array([math.log2(x) if x > 0 else -math.inf for x in p])
     count = 0
     prob = 0.0
-    for counts in _compositions(spec.n, d):
-        rate = _type_rate(counts, logp)
-        if h - spec.delta <= rate <= h + spec.delta:
-            m = _multinomial(counts)
-            count += m
-            prob += m * 2.0 ** (-rate * spec.n)
+    for _, lg, m in zip(*_typical_classes(spec.n, logp, h, spec.delta)):
+        count += m
+        prob += m * 2.0 ** lg
     return CensusReport(count, min(prob, 1.0), spec.n, spec.delta, h)
 
 
@@ -163,8 +186,12 @@ def slepian_wolf_sim(pxy, n: int, rate: float, trials: int, seed: int,
 
     The bin scan is simulated exactly: under uniform independent binning,
     the number of competitors of each joint type present in the bin is
-    Binomial(type size, 1/#bins), so no sequences are ever materialized."""
+    Binomial(type size, 1/#bins), so no sequences are ever materialized.
+    Trial t draws its joint type, then one binomial per competing type in
+    a fixed order (one array draw), then the tie-break, from stream(seed, t)."""
     check_trials(trials)
+    if n < 1:
+        raise ValueError(f"block length must be >= 1, got {n}")
     pxy = np.asarray(pxy, dtype=float)
     dx, dy = pxy.shape
     px = pxy.sum(axis=1)
@@ -181,70 +208,81 @@ def slepian_wolf_sim(pxy, n: int, rate: float, trials: int, seed: int,
     with np.errstate(divide="ignore", invalid="ignore"):
         log_cond = log_pxy.reshape(dx, dy) - log_py[None, :]
     finite_cond = np.where(np.isfinite(log_cond), log_cond, 0.0)
+    never = ~np.isfinite(log_cond).reshape(-1)   # cells the decoder never chooses
 
-    def jointly_typical(joint_counts: np.ndarray) -> bool:
-        # three two-sided conditions: on p(x), p(y), and p(x, y)
-        cx = joint_counts.sum(axis=1)
-        cy = joint_counts.sum(axis=0)
-        for counts, logp, h in ((cx, log_px, hx), (cy, log_py, hy),
-                                (joint_counts.reshape(-1), log_pxy, hxy)):
-            rate_ = _type_rate(counts, logp)
-            if not (h - delta <= rate_ <= h + delta):
-                return False
-        return True
+    def typical(counts: np.ndarray, logp: np.ndarray, h: float) -> np.ndarray:
+        rates = _type_rates(counts, logp, n)
+        return (h - delta <= rates) & (rates <= h + delta)
 
-    competitors: dict[tuple[int, ...], list[tuple[np.ndarray, int, float]]] = {}
+    columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def competitor_types(cy: np.ndarray) -> list[tuple[np.ndarray, int, float]]:
-        """(joint counts, class size, log-likelihood) of every jointly typical
-        joint type with y-composition cy that the decoder can choose, in
-        enumeration order; computed once per y-composition."""
-        key = tuple(int(c) for c in cy)
-        if key not in competitors:
-            found = []
-            per_y_comps = [list(_compositions(c, dx)) for c in key]
-            for combo in itertools.product(*per_y_comps):
-                comp_counts = np.array(combo, dtype=int).T  # (dx, dy)
-                if not jointly_typical(comp_counts):
-                    continue
-                if np.any(comp_counts[~np.isfinite(log_cond)] > 0):
-                    continue  # zero conditional probability: never chosen
-                size = math.prod(_multinomial(c) for c in combo)
-                found.append((comp_counts, size, float(np.sum(comp_counts * finite_cond))))
-            competitors[key] = found
-        return competitors[key]
+    def column(c: int) -> tuple[np.ndarray, np.ndarray]:
+        """The x-compositions of a column of c letters and their class sizes."""
+        if c not in columns:
+            types = _type_table(c, dx)
+            columns[c] = types, np.array(_multinomials(types), dtype=object)
+        return columns[c]
 
+    def scan_table(cy: tuple[int, ...]) -> dict:
+        """Every joint type with y-composition cy, in the order of the
+        product of per-column compositions (the last column varying
+        fastest): its joint typicality and log-likelihood, and the
+        competitors -- the jointly typical types the decoder can choose --
+        with their class sizes (exact ints) and log-likelihoods."""
+        cols, mults = zip(*(column(c) for c in cy))
+        pick = np.indices([len(c) for c in cols]).reshape(dy, -1)
+        counts = np.stack([col[i] for col, i in zip(cols, pick)], axis=2)   # (K, dx, dy)
+        joint = counts.reshape(len(counts), -1)
+        ok = (typical(np.array([cy]), log_py, hy) & typical(counts.sum(axis=2), log_px, hx)
+              & typical(joint, log_pxy, hxy))
+        possible = ~np.any(joint[:, never] > 0, axis=1)
+        ll = (counts * finite_cond).reshape(len(counts), -1).sum(axis=1)
+        comp = np.flatnonzero(ok & possible)
+        sizes = np.prod([m[i[comp]] for m, i in zip(mults, pick)], axis=0).tolist()
+        rank = np.full(len(counts), -1)
+        rank[comp] = np.arange(comp.size)
+        return {"index": {row.tobytes(): k for k, row in enumerate(joint)},
+                "typical": ok, "own_ll": np.where(possible, ll, -np.inf), "rank": rank,
+                "sizes": sizes, "ll": ll[comp],
+                "sizes64": (np.array(sizes, dtype=np.int64)
+                            if max(sizes, default=0) < BINOMIAL_CAP else None)}
+
+    tables: dict[tuple[int, ...], dict] = {}
+    lookup: dict[bytes, tuple[dict, int]] = {}   # joint type -> (its table, its row)
     errors = 0
     for t in range(trials):
-        rng = stream(seed, t)
-        joint = rng.multinomial(n, flat).reshape(dx, dy)
-        own_typical = jointly_typical(joint)
-        own_ll = float(np.sum(joint * finite_cond))
-        if np.any(joint[~np.isfinite(log_cond)] > 0):
-            own_ll = -math.inf
-
-        better = 0      # typical competitors with strictly higher likelihood
-        equal = 0       # typical competitors tying the true sequence
-        for comp_counts, size, ll in competitor_types(joint.sum(axis=0)):
-            if np.array_equal(comp_counts, joint):
-                size -= 1  # exclude the true sequence itself
-            if size <= 0:
-                continue
-            if size >= BINOMIAL_CAP:
+        rng = keyed_stream(seed, t)
+        joint = rng.multinomial(n, flat)
+        key = joint.tobytes()
+        if key not in lookup:
+            cy = tuple(joint.reshape(dx, dy).sum(axis=0).tolist())
+            if cy not in tables:
+                tables[cy] = scan_table(cy)
+            lookup[key] = tables[cy], tables[cy]["index"][key]
+        tab, row = lookup[key]
+        own = int(tab["rank"][row])     # the true sequence's own class, or -1
+        sizes = tab["sizes64"]
+        if sizes is None:
+            # refuse a class the binomial sampler cannot take, exactly as a
+            # scan of the classes one by one would
+            exact = [size - (j == own) for j, size in enumerate(tab["sizes"])]
+            if max(exact) >= BINOMIAL_CAP:
                 raise EnumerationCapError(
-                    f"a joint type class of {size} sequences exceeds the binomial "
-                    f"sampler's cap 2^63 (n = {n})")
-            k = rng.binomial(size, 1.0 / nbins)
-            if k == 0 or not own_typical:
-                continue
-            if ll > own_ll + 1e-12:
-                better += k
-            elif abs(ll - own_ll) <= 1e-12:
-                equal += k
-
-        if not own_typical:
+                    f"a joint type class of {next(s for s in exact if s >= BINOMIAL_CAP)} "
+                    f"sequences exceeds the binomial sampler's cap 2^63 (n = {n})")
+            sizes = np.array(exact, dtype=np.int64)
+        elif own >= 0:
+            sizes = sizes.copy()
+            sizes[own] -= 1     # exclude the true sequence itself
+        if not tab["typical"][row]:
             errors += 1
-        elif better > 0:
+            continue
+        # a class of size 0 draws nothing, as a skipped one does
+        k = rng.binomial(sizes, 1.0 / nbins)
+        own_ll = tab["own_ll"][row]
+        better = int(k[tab["ll"] > own_ll + 1e-12].sum())
+        equal = int(k[np.abs(tab["ll"] - own_ll) <= 1e-12].sum())
+        if better > 0:
             errors += 1
         elif equal > 0 and rng.random() >= 1.0 / (equal + 1):
             errors += 1
@@ -261,7 +299,12 @@ def slepian_wolf_sim(pxy, n: int, rate: float, trials: int, seed: int,
 
 def bsc_random_code_sim(p: float, n: int, rate: float, trials: int, seed: int) -> SimReport:
     """Random codebook over the binary symmetric channel with minimum-Hamming-
-    distance decoding; reports the empirical block error rate."""
+    distance decoding; reports the empirical block error rate.
+
+    Trial t draws its codebook, message and noise from stream(seed, t), then
+    a random tie-break among the nearest codewords.  A chunk of trials is
+    decoded as one stack; a trial with a tie is drawn again up to its
+    tie-break."""
     check_trials(trials)
     if not 0 <= p <= 1:
         raise ValueError("flip probability outside [0,1]")
@@ -269,19 +312,32 @@ def bsc_random_code_sim(p: float, n: int, rate: float, trials: int, seed: int) -
     if n_codewords > CODEWORD_CAP:
         raise EnumerationCapError(
             f"2^(nR) = {n_codewords} codewords exceeds the cap {CODEWORD_CAP}")
-    errors = 0
-    for t in range(trials):
-        rng = stream(seed, t)
+
+    def draw(t):
+        rng = keyed_stream(seed, t)
         book = rng.integers(0, 2, size=(n_codewords, n), dtype=np.uint8)
         msg = int(rng.integers(n_codewords))
         noise = (rng.random(n) < p).astype(np.uint8)
-        received = book[msg] ^ noise
-        dist = np.count_nonzero(book ^ received[None, :], axis=1)
-        best = dist.min()
-        winners = np.flatnonzero(dist == best)
-        choice = winners[int(rng.integers(winners.size))]
-        if choice != msg:
-            errors += 1
+        return rng, book, msg, noise
+
+    errors = 0
+    # a uint8 codebook counts as 1/16 of a complex entry per bit
+    for lo, hi in trial_chunks(trials, -(-n_codewords * n // 16)):
+        books = np.empty((hi - lo, n_codewords, n), dtype=np.uint8)
+        msgs = np.empty(hi - lo, dtype=np.intp)
+        noise = np.empty((hi - lo, n), dtype=np.uint8)
+        for row, t in enumerate(range(lo, hi)):
+            _, books[row], msgs[row], noise[row] = draw(t)
+        rows = np.arange(hi - lo)
+        books ^= (books[rows, msgs] ^ noise)[:, None, :]    # bits where each word differs
+        dist = books.sum(axis=2, dtype=np.intp)             # Hamming distances
+        winners = dist == dist.min(axis=1)[:, None]
+        n_winners = np.count_nonzero(winners, axis=1)
+        errors += int(np.count_nonzero((n_winners == 1) & ~winners[rows, msgs]))
+        for row in np.flatnonzero(n_winners > 1):
+            rng = draw(lo + int(row))[0]
+            tied = np.flatnonzero(winners[row])
+            errors += int(tied[int(rng.integers(tied.size))] != msgs[row])
     err = errors / trials
     return SimReport(1 - err, rate, math.nan, trials, _bernoulli_stderr(err, trials),
                      op="bsc_random_code", seed=seed,
@@ -321,13 +377,10 @@ def schumacher_projector(rho: DensityOperator, spec: TypicalitySpec,
     typical = []
     dim = 0
     weight = 0.0
-    for counts in _compositions(spec.n, d):
-        rate = _type_rate(counts, logp)
-        if h - spec.delta <= rate <= h + spec.delta:
-            m = _multinomial(counts)
-            typical.append((counts, -rate * spec.n))
-            dim += m
-            weight += m * 2.0 ** (-rate * spec.n)
+    for counts, lg, m in zip(*_typical_classes(spec.n, logp, h, spec.delta)):
+        typical.append((counts, lg))
+        dim += m
+        weight += m * 2.0 ** lg
     sub = TypicalSubspace(dim, min(weight, 1.0), typical, vals, vecs, spec.n)
     if d ** spec.n <= materialize_cap:
         sub.projector = _materialize_projector(sub, d)
@@ -364,17 +417,15 @@ def _rank_limited_subspace(rho: DensityOperator, n: int,
     vals, vecs = eig_hermitian(rho.matrix)
     vals = np.clip(vals, 0.0, None)
     logp = np.array([math.log2(v) if v > 1e-300 else -math.inf for v in vals])
-    classes = []
-    for counts in _compositions(n, d):
-        rate = _type_rate(counts, logp)
-        if math.isinf(rate):
-            continue
-        classes.append((counts, -rate * n, _multinomial(counts)))
-    classes.sort(key=lambda c: -c[1])  # largest eigenvalue product first
+    types = _type_table(n, d)
+    rates = _type_rates(types, logp, n)
+    types, lgs = types[np.isfinite(rates)], -rates[np.isfinite(rates)] * n
+    order = np.argsort(-lgs, kind="stable")  # largest eigenvalue product first
     chosen = []
     dim = 0
     weight = 0.0
-    for counts, lg, m in classes:
+    for counts, lg, m in zip(map(tuple, types[order].tolist()), lgs[order],
+                             _multinomials(types[order])):
         if dim + m > max_dim:
             ky_fan = weight + (max_dim - dim) * 2.0 ** lg
             break
@@ -386,21 +437,40 @@ def _rank_limited_subspace(rho: DensityOperator, n: int,
     return TypicalSubspace(dim, weight, chosen, vals, vecs, n), ky_fan
 
 
-def _count_dp(steps: Sequence[Sequence[float]], width: int) -> dict[tuple[int, ...], float]:
-    """Sum over all index sequences (k_1..k_L), k_i in range(width), of
-    prod_i steps[i][k_i], grouped by the count vector of the indices.
+def _count_sums(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each of the S stacked tables weights[s] (L steps by `width`
+    choices): the sum over all index sequences (k_1..k_L), k_i in
+    range(width), of prod_i weights[s, i, k_i], grouped by the count vector
+    of the indices.
 
-    The states are partial count vectors, so the cost is
-    O(L * width * C(L + width - 1, width - 1)) rather than width^L."""
-    table = {(0,) * width: 1.0}
-    for weights in steps:
-        new = {}
-        for key, amp in table.items():
-            for k, wk in enumerate(weights):
-                nk = key[:k] + (key[k] + 1,) + key[k + 1:]
-                new[nk] = new.get(nk, 0.0) + amp * wk
+    Returns the count vectors, rows of a (C, width) int array in
+    lexicographically descending order, and the (S, C) sums.  The state
+    after step i is indexed by the first width - 1 counts, the last being
+    i minus their sum.  A step adds the terms of each new count vector from
+    its predecessors in descending order (choice width - 1 first, down to
+    0), the order a dict of partial count vectors kept in insertion order
+    adds them, so each sum is the same float.  The cost is
+    O(L * width * S * C), C = C(L + width - 1, width - 1), not width^L."""
+    stacks, steps, width = weights.shape
+    cells = _type_table(steps, width)[::-1]
+    heads = [tuple(c) for c in cells[:, :-1].tolist()]
+    index = {h: j for j, h in enumerate(heads)}
+    moves = []      # choice k < width - 1: cells j -> cell j + e_k
+    for k in range(width - 1):
+        pairs = [(j, index[h[:k] + (h[k] + 1,) + h[k + 1:]])
+                 for j, h in enumerate(heads) if sum(h) < steps]
+        src, dst = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        moves.append((src, dst))
+    table = np.zeros((stacks, len(cells)))
+    table[:, index[(0,) * (width - 1)]] = 1.0
+    for i in range(steps):
+        # choice width - 1 keeps the head; cells whose head sums above i are 0
+        new = table * weights[:, i, width - 1:]
+        for k in range(width - 2, -1, -1):
+            src, dst = moves[k]
+            new[:, dst] += table[:, src] * weights[:, i, k:k + 1]
         table = new
-    return table
+    return cells, table
 
 
 @dataclass
@@ -429,8 +499,11 @@ def schumacher_sim(ensemble, n: int, spec: Optional[TypicalitySpec] = None,
 
     where w(c) is the probability that a product state of type c projects
     into the subspace and G(c) sums p(x^n) |<junk|x^n>|^2 over the messages
-    of type c.  Both come from dynamic programs over count vectors, so the
-    cost is O(n d C(n+d-1, d-1) C(n+m-1, m-1)), polynomial in n."""
+    of type c.  Both come from array dynamic programs over count vectors
+    (`_count_sums`): one stacked over every letter type for w, one of width
+    m for G.  They add the same terms in the same order as a dict of count
+    vectors, so the sums are the same floats, and the cost is
+    O(n d C(n+d-1, d-1) C(n+m-1, m-1)), polynomial in n."""
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
     probs = validate_prob_dist([p for p, _ in ensemble])
@@ -468,26 +541,27 @@ def schumacher_sim(ensemble, n: int, spec: Optional[TypicalitySpec] = None,
         junk_seq.extend([k] * top_type[k])
     junk_seq.sort(key=lambda k: -vals[k])
 
-    def w_of_type(x_counts: tuple[int, ...]) -> float:
-        # probability that a product state with these letter counts projects
-        # into the subspace, summed over its eigen-index compositions
-        letters = []
-        for x in range(m_letters):
-            letters.extend([x] * x_counts[x])
-        table = _count_dp([overlap[x].tolist() for x in letters], d)
-        return sum(v for key, v in table.items() if key in typical_types)
-
-    probs_l = probs.tolist()
     # G(c) by a dynamic program over positions: position i of a message
     # contributes p_x O[x, junk_i] when it carries letter x
-    junk_mass = _count_dp([[p * o for p, o in zip(probs_l, overlap[:, k].tolist())]
-                           for k in junk_seq], m_letters)
+    x_types, junk_mass = _count_sums((probs[:, None] * overlap[:, junk_seq]).T[None])
+    # w(c): the probability that a product state with letter counts c (the
+    # letters in ascending order) projects into the subspace, summed over
+    # its eigen-index compositions; the typical ones added in the DP's order
+    letters = np.repeat(np.tile(np.arange(m_letters), (len(x_types), 1)), x_types.ravel(),
+                        ).reshape(len(x_types), n)
+    k_types, in_type = _count_sums(overlap[letters])
+    w_all = np.zeros(len(x_types))
+    for j, key in enumerate(map(tuple, k_types.tolist())):
+        if key in typical_types:
+            w_all += in_type[:, j]
+
+    probs_l = probs.tolist()
     fbar = 0.0
-    for counts, g in junk_mass.items():
-        mass = _multinomial(counts) * math.prod(p ** c for p, c in zip(probs_l, counts))
+    for counts, m, g, w in zip(map(tuple, x_types.tolist()), _multinomials(x_types),
+                               junk_mass[0].tolist(), w_all.tolist()):
+        mass = m * math.prod(p ** c for p, c in zip(probs_l, counts))
         if mass == 0.0:
             continue
-        w = w_of_type(counts)
         fbar += mass * w * w + (1 - w) * g
 
     eff_rate = rate if rate is not None else math.log2(max(sub.dim, 1)) / n
@@ -522,9 +596,10 @@ def concentration_sim(p: float, n: int, trials: int, seed: int) -> Concentration
     rng = stream(seed, 0)
     outcomes = rng.binomial(n, p, size=trials)
     hist = {int(m): int(c) for m, c in zip(*np.unique(outcomes, return_counts=True))}
-    log_d = np.array([math.log2(math.comb(n, int(m))) for m in outcomes])
+    log_comb = [math.log2(math.comb(n, m)) for m in range(n + 1)]
+    log_d = np.array(log_comb)[outcomes]
     pmf = np.array([math.comb(n, m) * (p ** m) * ((1 - p) ** (n - m)) for m in range(n + 1)])
-    exact_mean = float(sum(pmf[m] * math.log2(math.comb(n, m)) for m in range(n + 1)))
+    exact_mean = float(sum(pmf[m] * log_comb[m] for m in range(n + 1)))
     expected = {m: trials * pmf[m] for m in range(n + 1)}
 
     # chi-squared against the exact binomial, pooling cells with tiny expectation

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from qshannon import _rng
 from qshannon import decoupling as dec
 from qshannon import measure as mea
-from qshannon._rng import normal_pairs, stream, trial_chunks
+from qshannon._rng import keyed_stream, normal_pairs, stream, trial_chunks
 from qshannon.channels import amplitude_damping, dilate, erasure
 from qshannon.linalg import (
     DensityOperator,
@@ -250,6 +250,69 @@ def test_normal_pairs_threads_keep_their_own_generator():
     assert not any(t.is_alive() for t in threads)
     for s in seeds:
         assert same(got[s][0], want[s][0]) and same(got[s][1], want[s][1])
+
+
+def same_state(a, b):
+    """Equal bit-generator states: nested dicts of ints and arrays."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return same(a, b)
+
+
+KEYED_DRAWS = {
+    "uint8_integers": lambda g: g.integers(0, 2, size=(7, 5), dtype=np.uint8),
+    "integers": lambda g: g.integers(1000),
+    "random": lambda g: g.random(9),
+    "multinomial": lambda g: g.multinomial(12, [0.1, 0.0, 0.4, 0.5]),
+    "binomial_array": lambda g: g.binomial(np.array([0, 3, 1, 2 ** 40, 70, 0, 5]), 0.3),
+    "binomial_p1": lambda g: g.binomial(np.array([4, 0, 9]), 1.0),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.one_of(st.integers(-2 ** 70, -1), st.integers(0, 2 ** 66)),
+       index=st.integers(0, 2 ** 64 + 5),
+       order=st.permutations(sorted(KEYED_DRAWS)))
+def test_keyed_stream_equals_stream(seed, index, order):
+    """The re-keyed generator makes the draws stream(seed, index) makes, in
+    any sequence of calls, and is left in the same state; a draw with
+    another key in between changes nothing."""
+    keyed_stream(seed + 1, index)
+    fresh = stream(seed, index)
+    keyed = keyed_stream(seed, index)
+    for name in order:
+        assert same(KEYED_DRAWS[name](keyed), KEYED_DRAWS[name](fresh)), name
+    assert same_state(keyed.bit_generator.state, fresh.bit_generator.state)
+    # numpy integer seeds and indices key the same stream
+    assert same(keyed_stream(np.int64(seed % 2 ** 62), np.int64(index % 2 ** 62)).random(3),
+                stream(seed % 2 ** 62, index % 2 ** 62).random(3))
+
+
+def test_keyed_stream_threads_keep_their_own_generator():
+    """Threads that re-key and draw at once each get the draws of their own
+    key."""
+    keys = [(201 + i, i) for i in range(8)]
+    want = {k: stream(*k).random(64) for k in keys}
+    bad = []
+
+    def work(k):
+        for _ in range(200):
+            if not same(keyed_stream(*k).random(64), want[k]):
+                bad.append(k)
+                return
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in keys]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
 
 
 @pytest.mark.parametrize("trials,entries", [(0, 4), (1, 4), (10, 4096), (37, 256), (3, 2 ** 20)])

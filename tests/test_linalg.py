@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,6 +55,29 @@ class TestStates:
     def test_pure_state_normalization_enforced(self):
         with pytest.raises(ValueError):
             PureState(np.array([1.0, 1.0]), qubits("A"))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 64, 129, 1024])
+    def test_pure_state_at_the_edge_gives_a_valid_density(self, d):
+        """PureState and DensityOperator test the same squared norm against
+        the same tolerance, so every accepted state has a valid density()."""
+        rng = np.random.default_rng(d)
+        accepted = rejected = 0
+        for _ in range(40 if d < 1024 else 8):
+            v = rng.normal(size=d) + 1j * rng.normal(size=d)
+            v *= math.sqrt(1 + rng.uniform(-1.5e-8, 1.5e-8)) / np.linalg.norm(v)
+            try:
+                psi = PureState(v, SubsystemLayout((d,), ("A",)))
+            except ValueError:
+                rejected += 1
+                continue
+            accepted += 1
+            assert psi.density().matrix.shape == (d, d)
+        assert accepted and rejected
+
+    def test_pure_state_norm_off_by_5e_7_refused(self):
+        # accepted before, though its density operator has trace 1 + 1e-6
+        with pytest.raises(ValueError, match="not normalized"):
+            PureState(np.array([1 + 5e-7, 0.0]), qubits("A"))
 
     def test_density_validation(self):
         with pytest.raises(ValueError):
