@@ -1,11 +1,10 @@
-"""Counter-based random number streams, and the trial loop of the Monte
-Carlo experiments.
+"""Counter-based random number streams, and `run_trials`, the one loop over
+the trials of every stacked Monte Carlo experiment.
 
 Every stochastic routine in the package draws from a Philox stream keyed by
 (seed, stream index).  Trial t of a Monte Carlo run uses stream(seed, t), so
-per-trial results do not depend on how the trials are batched into chunks
-(`trial_chunks`) or sharded across processes (`run_trials`), at a fixed
-BLAS thread setting.
+per-trial results do not depend on how `run_trials` cuts the trials into
+chunks or shards them across processes, at a fixed BLAS thread setting.
 
 A trial loop need not construct stream(seed, t) for each trial:
 `keyed_stream(seed, t)` re-keys one Philox generator per thread to the
@@ -45,8 +44,7 @@ _local = threading.local()
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
     """Return the generator for stream `index` of the run keyed by `seed`."""
-    key = np.array([np.uint64(seed & _KEY_MASK),
-                    np.uint64(index & _KEY_MASK)], dtype=np.uint64)
+    key = np.array([int(seed) & _KEY_MASK, int(index) & _KEY_MASK], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -88,7 +86,7 @@ def normal_pairs(seed: int, start: int, stop: int,
     the first half into the second, as it does between two draws."""
     bitgen, gen, state = _keyed_generator()
     key = state["state"]["key"]
-    key[0] = seed & _KEY_MASK
+    key[0] = int(seed) & _KEY_MASK
     buf = np.empty((stop - start, 2) + tuple(shape))
     for row, t in enumerate(range(start, stop)):
         key[1] = t & _KEY_MASK
@@ -135,24 +133,30 @@ def shard_workers(trials: int, entries: int) -> int:
     return max(1, min(trials, cpus // _blas_threads(cpus)))
 
 
+def _run_range(kernel, args: tuple, entries: int, lo: int, hi: int) -> np.ndarray:
+    """The chunks of trials lo..hi-1, run one by one and joined in trial order."""
+    return np.concatenate([kernel(*args, a, b) for a, b in trial_chunks(hi, entries, lo)], -1)
+
+
 def run_trials(kernel, trials: int, entries: int, *args) -> np.ndarray:
-    """kernel(*args, 0, trials), where kernel(*args, lo, hi) returns an array
-    whose last axis holds trials lo..hi-1 and `entries` is its largest
-    stacked per-trial array.
+    """The per-trial values of trials 0..trials-1, along the last axis.  One
+    call kernel(*args, a, b) computes each `trial_chunks` chunk a..b-1, where
+    `entries` is the kernel's largest stacked per-trial array, and the chunks
+    are joined in trial order.  Fewer than 2 trials are refused at once.
 
     When `shard_workers` gives more than one worker, [0, trials) is split
-    into one contiguous range per worker, each range runs in a forked
-    worker, and the ranges' arrays are joined in trial order.  Since trial t
-    draws from stream(seed, t), the result is bit-identical to the
-    in-process call.  The kernel must be a module-level function; the pool
-    lives only for this call.  Validate the arguments before calling: an
-    exception raised in a worker is raised again here."""
+    into one contiguous range per worker, and each worker runs its range's
+    chunks.  Since trial t draws from stream(seed, t), the result is
+    bit-identical to the in-process run.  The kernel must be a module-level
+    function; the pool lives only for this call.  Validate the arguments
+    before calling: an exception raised in a worker is raised again here."""
+    check_trials(trials)
     workers = shard_workers(trials, entries)
     if workers == 1:
-        return kernel(*args, 0, trials)
-    bounds = [trials * i // workers for i in range(workers + 1)]
+        return _run_range(kernel, args, entries, 0, trials)
+    cut = [trials * i // workers for i in range(workers + 1)]
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        parts = [pool.submit(kernel, *args, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        parts = [pool.submit(_run_range, kernel, args, entries, *r) for r in zip(cut, cut[1:])]
         return np.concatenate([part.result() for part in parts], axis=-1)
 
 

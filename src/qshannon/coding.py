@@ -16,8 +16,9 @@ of silent sampling.
 
 The Monte Carlo simulators draw trial t from `keyed_stream(seed, t)`, the
 numbers `stream(seed, t)` gives, and do the per-trial decoding as array
-work: a chunk of BSC trials is decoded as one stack, and a Slepian-Wolf
-trial makes one binomial draw per bin scan from a table built once per
+work.  A chunk of BSC trials, run by `_rng.run_trials`, is decoded as one
+stack.  `slepian_wolf_sim` keeps its own trial loop, since it stacks nothing:
+a trial makes one binomial draw per bin scan from a table built once per
 y-composition.
 """
 
@@ -30,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._rng import check_trials, keyed_stream, stream, trial_chunks
+from ._rng import check_trials, keyed_stream, run_trials, stream
 from .entropy import shannon_entropy, validate_prob_dist
 from .linalg import DensityOperator, density_from_matrix, eig_hermitian
 
@@ -60,7 +61,6 @@ class TypicalitySpec:
 class SimReport:
     success_prob: float
     rate: float
-    fidelity: float
     trials: int
     mc_stderr: float
     op: str = ""
@@ -188,7 +188,8 @@ def slepian_wolf_sim(pxy, n: int, rate: float, trials: int, seed: int,
     the number of competitors of each joint type present in the bin is
     Binomial(type size, 1/#bins), so no sequences are ever materialized.
     Trial t draws its joint type, then one binomial per competing type in
-    a fixed order (one array draw), then the tie-break, from stream(seed, t)."""
+    a fixed order (one array draw), then the tie-break, from stream(seed, t).
+    Its own loop runs the trials (per-trial lookups; nothing is stacked)."""
     check_trials(trials)
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
@@ -288,14 +289,39 @@ def slepian_wolf_sim(pxy, n: int, rate: float, trials: int, seed: int,
             errors += 1
 
     err = errors / trials
-    return SimReport(1 - err, rate, math.nan, trials, _bernoulli_stderr(err, trials),
-                     op="slepian_wolf", seed=seed,
-                     params={"n": n, "rate": rate, "delta": delta})
+    return SimReport(1 - err, rate, trials, _bernoulli_stderr(err, trials), op="slepian_wolf",
+                     seed=seed, params={"n": n, "rate": rate, "delta": delta})
 
 
 # ---------------------------------------------------------------------------
 # BSC random coding
 # ---------------------------------------------------------------------------
+
+def _bsc_trials(p: float, n: int, n_codewords: int, seed: int, a: int, b: int) -> np.ndarray:
+    """The run_trials kernel of bsc_random_code_sim: wrong-decode flags."""
+    def draw(t):
+        rng = keyed_stream(seed, t)
+        book = rng.integers(0, 2, size=(n_codewords, n), dtype=np.uint8)
+        msg = int(rng.integers(n_codewords))
+        noise = (rng.random(n) < p).astype(np.uint8)
+        return rng, book, msg, noise
+
+    books = np.empty((b - a, n_codewords, n), dtype=np.uint8)
+    msgs = np.empty(b - a, dtype=np.intp)
+    noise = np.empty((b - a, n), dtype=np.uint8)
+    for row, t in enumerate(range(a, b)):
+        _, books[row], msgs[row], noise[row] = draw(t)
+    rows = np.arange(b - a)
+    books ^= (books[rows, msgs] ^ noise)[:, None, :]    # bits where each word differs
+    dist = books.sum(axis=2, dtype=np.intp)             # Hamming distances
+    winners = dist == dist.min(axis=1)[:, None]
+    wrong = ~winners[rows, msgs]
+    for row in np.flatnonzero(np.count_nonzero(winners, axis=1) > 1):
+        rng = draw(a + int(row))[0]
+        tied = np.flatnonzero(winners[row])
+        wrong[row] = tied[int(rng.integers(tied.size))] != msgs[row]
+    return wrong
+
 
 def bsc_random_code_sim(p: float, n: int, rate: float, trials: int, seed: int) -> SimReport:
     """Random codebook over the binary symmetric channel with minimum-Hamming-
@@ -305,43 +331,17 @@ def bsc_random_code_sim(p: float, n: int, rate: float, trials: int, seed: int) -
     a random tie-break among the nearest codewords.  A chunk of trials is
     decoded as one stack; a trial with a tie is drawn again up to its
     tie-break."""
-    check_trials(trials)
     if not 0 <= p <= 1:
         raise ValueError("flip probability outside [0,1]")
     n_codewords = max(int(round(2.0 ** (n * rate))), 2)
     if n_codewords > CODEWORD_CAP:
         raise EnumerationCapError(
             f"2^(nR) = {n_codewords} codewords exceeds the cap {CODEWORD_CAP}")
-
-    def draw(t):
-        rng = keyed_stream(seed, t)
-        book = rng.integers(0, 2, size=(n_codewords, n), dtype=np.uint8)
-        msg = int(rng.integers(n_codewords))
-        noise = (rng.random(n) < p).astype(np.uint8)
-        return rng, book, msg, noise
-
-    errors = 0
     # a uint8 codebook counts as 1/16 of a complex entry per bit
-    for lo, hi in trial_chunks(trials, -(-n_codewords * n // 16)):
-        books = np.empty((hi - lo, n_codewords, n), dtype=np.uint8)
-        msgs = np.empty(hi - lo, dtype=np.intp)
-        noise = np.empty((hi - lo, n), dtype=np.uint8)
-        for row, t in enumerate(range(lo, hi)):
-            _, books[row], msgs[row], noise[row] = draw(t)
-        rows = np.arange(hi - lo)
-        books ^= (books[rows, msgs] ^ noise)[:, None, :]    # bits where each word differs
-        dist = books.sum(axis=2, dtype=np.intp)             # Hamming distances
-        winners = dist == dist.min(axis=1)[:, None]
-        n_winners = np.count_nonzero(winners, axis=1)
-        errors += int(np.count_nonzero((n_winners == 1) & ~winners[rows, msgs]))
-        for row in np.flatnonzero(n_winners > 1):
-            rng = draw(lo + int(row))[0]
-            tied = np.flatnonzero(winners[row])
-            errors += int(tied[int(rng.integers(tied.size))] != msgs[row])
-    err = errors / trials
-    return SimReport(1 - err, rate, math.nan, trials, _bernoulli_stderr(err, trials),
-                     op="bsc_random_code", seed=seed,
-                     params={"p": p, "n": n, "rate": rate})
+    wrong = run_trials(_bsc_trials, trials, -(-n_codewords * n // 16), p, n, n_codewords, seed)
+    err = int(np.count_nonzero(wrong)) / trials
+    return SimReport(1 - err, rate, trials, _bernoulli_stderr(err, trials), op="bsc_random_code",
+                     seed=seed, params={"p": p, "n": n, "rate": rate})
 
 
 # ---------------------------------------------------------------------------

@@ -2,30 +2,28 @@
 discarding, the decoupling inequality, the Haar second-moment constants,
 projected decoupling for channel codes, and the black-hole-mirror model.
 
-Trial t of every experiment draws from the (seed, t) random stream.  The
-experiments run their trials in chunks (`_rng.trial_chunks`): the chunk's
-Haar isometries or states come from one stacked draw and one stacked QR
+Trial t of every experiment draws from the (seed, t) random stream.  Each
+experiment but `expected_M_check` (a running sum over the trials in order)
+is a one-chunk kernel run by `_rng.run_trials`, which shards large trials
+(the old hole from n = 9 up, |A||E| >= 512).  A chunk's Haar isometries or
+states come from one stacked draw and one stacked QR
 (`linalg.haar_isometries`, `linalg.haar_states`), and the contractions,
 `eigvalsh` and entropies are stacked over the chunk.  Each trial's value is
 bit-identical to drawing it alone from stream(seed, t), whatever the chunk
-size.  `decoupling_experiment` applies U to A's indices of sigma_AE directly
-instead of multiplying by U x I_E.  The two sum the same nonzero terms; with
-OpenBLAS 0.3.31 (Haswell kernels) they agree bit for bit when there is no E,
-or when |A| is a multiple of 4 and |A||E| <= 128.  Elsewhere they differ by
-roundoff, below 1e-14 per trial, because the BLAS groups the terms of the
-Kronecker form's longer, zero-padded sums differently.
-The trial loops of the black-hole mirror and of
-`decoupling_experiment` are range kernels run through `_rng.run_trials`,
-which shards large trials (the old hole from n = 9 up, |A||E| >= 512)
-across forked workers over contiguous trial ranges; the joined per-trial
-values equal the in-process ones bit for bit.  L1 distances are computed
-exactly from eigenvalues of the Hermitian difference.
+size, sharded or not.  `decoupling_experiment` applies U to A's indices of
+sigma_AE directly instead of multiplying by U x I_E.  The two sum the same
+nonzero terms; with OpenBLAS 0.3.31 (Haswell kernels) they agree bit for bit
+when there is no E, or when |A| is a multiple of 4 and |A||E| <= 128.
+Elsewhere they differ by roundoff, below 1e-14 per trial, because the BLAS
+groups the terms of the Kronecker form's longer, zero-padded sums
+differently.  L1 distances are computed exactly from eigenvalues of the
+Hermitian difference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -69,7 +67,6 @@ class DecouplingReport:
     bound: float
     per_trial: np.ndarray
     mc_stderr: float
-    extra: dict = field(default_factory=dict)
 
     def satisfied(self, slack_sigmas: float = 4.0) -> bool:
         return self.mean_l1 <= self.bound + slack_sigmas * self.mc_stderr
@@ -91,30 +88,25 @@ def decoupling_bound(sigma_ae: DensityOperator, split: tuple[int, int]) -> float
 
 
 def _decoupling_trials(m: np.ndarray, target: np.ndarray, split: tuple[int, int], de: int,
-                       seed: int, lo: int, hi: int) -> np.ndarray:
-    """Per-trial distances of trials lo..hi-1: the run_trials kernel of
-    decoupling_experiment."""
+                       seed: int, a: int, b: int) -> np.ndarray:
+    """The run_trials kernel of decoupling_experiment."""
     d1, d2 = split
     da = d1 * d2
     d = da * de
-    vals = np.empty(hi - lo)
-    for a, b in trial_chunks(hi, d ** 2, lo):
-        n = b - a
-        u = haar_isometries(seed, a, b, da, da)
-        # (U x I_E) m (U x I_E)^dagger without the Kronecker product: U acts on
-        # the row index a of m[(a e), (a' f)], then dagger(U) on the column
-        # index a'.  Each entry sums the nonzero terms of the Kronecker
-        # product in the same order, over da terms rather than da * de; the
-        # chunk keeps the (da * de)^2 entries rule, so CHUNK_ENTRIES still
-        # bounds the stacked arrays.
-        left = (u @ m.reshape(da, de * d)).reshape(n, d, da, de)
-        right = left.transpose(0, 1, 3, 2).reshape(n, d * de, da) @ dagger(u)
-        rotated = right.reshape(n, d, de, da).transpose(0, 1, 3, 2).reshape(n, d, d)
-        # trace out A1 (the leading tensor factor of A)
-        r = rotated.reshape(n, d1, d2 * de, d1, d2 * de)
-        kept = np.einsum("niaib->nab", r)
-        vals[a - lo:b - lo] = _l1(kept, target)
-    return vals
+    n = b - a
+    u = haar_isometries(seed, a, b, da, da)
+    # (U x I_E) m (U x I_E)^dagger without the Kronecker product: U acts on
+    # the row index a of m[(a e), (a' f)], then dagger(U) on the column index
+    # a'.  Each entry sums the nonzero terms of the Kronecker product in the
+    # same order, over da terms rather than da * de; the chunk keeps the
+    # (da * de)^2 entries rule, so CHUNK_ENTRIES still bounds the stacked
+    # arrays.
+    left = (u @ m.reshape(da, de * d)).reshape(n, d, da, de)
+    right = left.transpose(0, 1, 3, 2).reshape(n, d * de, da) @ dagger(u)
+    rotated = right.reshape(n, d, de, da).transpose(0, 1, 3, 2).reshape(n, d, d)
+    # trace out A1 (the leading tensor factor of A)
+    kept = np.einsum("niaib->nab", rotated.reshape(n, d1, d2 * de, d1, d2 * de))
+    return _l1(kept, target)
 
 
 def decoupling_experiment(t: DecouplingTrialSet) -> DecouplingReport:
@@ -171,10 +163,14 @@ class MomentReport:
 def expected_M_check(d1: int, d2: int, trials: int, seed: int) -> MomentReport:
     """Empirical Haar mean of (U x U)† (I_{A1} x SWAP_{A2}) (U x U) against the
     closed-form c_I I + c_S S decomposition, plus the fitted weights on the
-    symmetric/antisymmetric subspaces of the doubled system."""
+    symmetric/antisymmetric subspaces of the doubled system.  One trial is
+    enough (no standard error).  The loop is not `_rng.run_trials`: the mean
+    is a running sum over the trials in order, and that order fixes its bits."""
     d = d1 * d2
     if d > 16:
         raise ValueError("dimension guard: |A| <= 16")
+    if trials < 1:
+        raise ValueError(f"the Haar mean needs at least 1 trial, got {trials}")
     op = _partial_swap(d1, d2)
     acc = np.zeros((d * d, d * d), dtype=complex)
     for a, b in trial_chunks(trials, d ** 4):
@@ -221,18 +217,30 @@ def swap_trick_purity(rho: DensityOperator, keep: str) -> float:
 # projected decoupling (random channel codes)
 # ---------------------------------------------------------------------------
 
+def _projected_trials(phi: np.ndarray, target: np.ndarray, d_r2: int, seed: int,
+                      a: int, b: int) -> np.ndarray:
+    """The run_trials kernel of projected_decoupling_experiment."""
+    d_r, d_b, d_e = phi.shape
+    v = haar_isometries(seed, a, b, d_r, d_r)
+    rot = np.einsum("nsr,rbe->nsbe", v, phi)
+    proj = rot.reshape(b - a, d_r // d_r2, d_r2, d_b, d_e)[:, 0]      # R1 -> <0|
+    norm2 = np.array([np.vdot(p, p).real for p in proj])
+    live = norm2 >= 1e-30
+    proj = proj / np.sqrt(np.where(live, norm2, 1.0))[:, None, None, None]
+    s_r2e = np.einsum("nqbe,npbf->nqepf", proj, proj.conj()).reshape(b - a, d_r2 * d_e, -1)
+    return np.where(live, _l1(s_r2e, target), 0.0)
+
+
 def projected_decoupling_experiment(psi_ra, channel: KrausChannel, d_r2: int,
                                     trials: int, seed: int) -> DecouplingReport:
     """Random-code decoupling: rotate the reference R by Haar V, project R1
     onto |0>, renormalize, and measure how far R2 is from decoupled from E.
 
     psi_ra is a pure state with layout labels ("R", "A")."""
-    check_trials(trials)
     lay = psi_ra.layout
     d_r = lay.dims[lay.index("R")]
     if d_r % d_r2 != 0:
         raise ValueError("d_r2 must divide |R|")
-    d_r1 = d_r // d_r2
     v_dil = dilate(channel)
     d_b, d_e = channel.dim_out, channel.env_dim
     if d_r * d_b * d_e > 2 ** 12:
@@ -246,17 +254,8 @@ def projected_decoupling_experiment(psi_ra, channel: KrausChannel, d_r2: int,
     bound = math.sqrt(d_r2 * d_e * purity)
     target = np.kron(np.eye(d_r2) / d_r2, sigma_e)
 
-    vals = np.empty(trials)
-    for a, b in trial_chunks(trials, max(d_r * d_r, d_r * d_b * d_e, (d_r2 * d_e) ** 2)):
-        v = haar_isometries(seed, a, b, d_r, d_r)
-        rot = np.einsum("nsr,rbe->nsbe", v, phi)
-        proj = rot.reshape(b - a, d_r1, d_r2, d_b, d_e)[:, 0]      # R1 -> <0|
-        norm2 = np.array([np.vdot(p, p).real for p in proj])
-        live = norm2 >= 1e-30
-        proj = proj / np.sqrt(np.where(live, norm2, 1.0))[:, None, None, None]
-        s_r2e = np.einsum("nqbe,npbf->nqepf", proj, proj.conj()).reshape(
-            b - a, d_r2 * d_e, d_r2 * d_e)
-        vals[a:b] = np.where(live, _l1(s_r2e, target), 0.0)
+    entries = max(d_r * d_r, d_r * d_b * d_e, (d_r2 * d_e) ** 2)
+    vals = run_trials(_projected_trials, trials, entries, phi, target, d_r2, seed)
     return DecouplingReport(float(vals.mean()), bound, vals, stderr(vals))
 
 
@@ -326,17 +325,12 @@ def _mirror_shape(n: int, k: int, kps: list[int], age: str) -> tuple[int, int]:
 
 
 def _mirror_trials(n: int, k: int, kps: list[int], age: str, seed: int,
-                   lo: int, hi: int) -> np.ndarray:
-    """Per-trial distances of trials lo..hi-1, shape (len(kps), hi - lo): the
-    run_trials kernel of black_hole_mirror_batch."""
-    cols, entries = _mirror_shape(n, k, kps, age)
+                   a: int, b: int) -> np.ndarray:
+    """The run_trials kernel of black_hole_mirror_batch: one row per margin."""
+    cols = _mirror_shape(n, k, kps, age)[0]
     mirror_l1 = _mirror_l1_old if age == "old" else _mirror_l1_young
-    per_c = np.empty((len(kps), hi - lo))
-    for a, b in trial_chunks(hi, entries, lo):
-        iso = haar_isometries(seed, a, b, 2 ** n, cols)
-        for j, kp in enumerate(kps):
-            per_c[j, a - lo:b - lo] = mirror_l1(iso, n, k, kp)
-    return per_c
+    iso = haar_isometries(seed, a, b, 2 ** n, cols)
+    return np.array([mirror_l1(iso, n, k, kp) for kp in kps]).reshape(len(kps), b - a)
 
 
 def black_hole_mirror_batch(n: int, k: int, cs: Sequence[int], age: str,
@@ -345,7 +339,6 @@ def black_hole_mirror_batch(n: int, k: int, cs: Sequence[int], age: str,
     sample of each trial across margins (identical per-c results to separate
     runs with the same seed, at a fraction of the cost).  Old-hole trials
     from n = 9 up are large enough to be sharded (`_rng.run_trials`)."""
-    check_trials(trials)
     if n < 1 or k < 0:
         raise ValueError(f"need n >= 1 hole qubits and k >= 0 infalling qubits, got n={n}, k={k}")
     if any(c < 0 for c in cs):
@@ -395,20 +388,22 @@ def page_mean(d1: int, d2: int) -> float:
     return nats / math.log(2)
 
 
+def _subsystem_entropies(d1: int, d2: int, seed: int, a: int, b: int) -> np.ndarray:
+    """The run_trials kernel of random_subsystem_entropy."""
+    amps = haar_states(seed, a, b, d1 * d2)
+    # the A2 marginal, formed as partial_trace_pure forms it
+    m = amps.reshape(b - a, d1, d2).transpose(0, 2, 1).reshape(b - a, d2, d1)
+    ev = np.clip(np.linalg.eigvalsh(m @ dagger(m)), 0.0, None)
+    return row_entropies(ev, 1e-14, np.log2)
+
+
 def random_subsystem_entropy(d1: int, d2: int, trials: int, seed: int) -> SubsystemEntropyReport:
     """Mean entropy of the A2 share of a Haar-random pure state on A1 A2,
     against the near-maximal lower bound log2 d2 - d2 / (2 d1 ln 2) and
     Page's exact mean."""
-    check_trials(trials)
     if d1 * d2 > 2 ** 14:
         raise ValueError("dimension guard: |A| <= 2^14")
-    vals = np.empty(trials)
-    for a, b in trial_chunks(trials, d2 * max(d1, d2)):
-        amps = haar_states(seed, a, b, d1 * d2)
-        # the A2 marginal, formed as partial_trace_pure forms it
-        m = amps.reshape(b - a, d1, d2).transpose(0, 2, 1).reshape(b - a, d2, d1)
-        ev = np.clip(np.linalg.eigvalsh(m @ dagger(m)), 0.0, None)
-        vals[a:b] = row_entropies(ev, 1e-14, np.log2)
+    vals = run_trials(_subsystem_entropies, trials, d2 * max(d1, d2), d1, d2, seed)
     bound = math.log2(d2) - d2 / (2 * d1 * math.log(2)) if d2 > 1 else 0.0
     return SubsystemEntropyReport(float(vals.mean()), bound, stderr(vals), page_mean(d1, d2))
 

@@ -15,10 +15,7 @@ import numpy as np
 
 from ._rng import as_generator, normal_pairs
 
-HERMITIAN_TOL = 1e-12
-TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
-NORM_TOL = 1e-12
 
 
 class LayoutError(ValueError):

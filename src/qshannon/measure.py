@@ -6,6 +6,7 @@ The accessible-information ascent runs L-BFGS-B on the exact gradient of
 I(X;Y) in the POVM parameters, chained through the symmetric normalization by
 the Daleckii-Krein derivative of S^{-1/2}.  Its inner loop works on stacked
 (outcomes, d, d) arrays; a `POVM` is built and validated only for the result.
+The information gain is a one-chunk kernel run by `_rng.run_trials`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rng import check_trials, stderr, stream, trial_chunks
+from ._rng import run_trials, stderr, stream
 from .entropy import (conditional_mutual_classical, holevo_chi, row_entropies, shannon_entropy,
                       von_neumann_entropy)
 from .linalg import DensityOperator, dagger, haar_states
@@ -235,6 +236,11 @@ class InfoGainReport:
     trials: int
 
 
+def _outcome_entropies(d: int, seed: int, a: int, b: int) -> np.ndarray:
+    """The run_trials kernel of haar_information_gain, in nats."""
+    return row_entropies(np.abs(haar_states(seed, a, b, d)) ** 2, 1e-300, np.log)
+
+
 def haar_information_gain(d: int, trials: int, seed: int) -> InfoGainReport:
     """Information gained by a fixed basis measurement on a Haar-random pure
     state: exactly ln d - (1/2 + 1/3 + ... + 1/d) nats.
@@ -245,12 +251,8 @@ def haar_information_gain(d: int, trials: int, seed: int) -> InfoGainReport:
         raise ValueError("dimension must be >= 2")
     if d > 2 ** 14:
         raise ValueError("dimension guard: d <= 2^14")
-    check_trials(trials)
     exact = math.log(d) - sum(1.0 / k for k in range(2, d + 1))
-    cond = np.empty(trials)
-    for a, b in trial_chunks(trials, d):
-        p = np.abs(haar_states(seed, a, b, d)) ** 2
-        cond[a:b] = row_entropies(p, 1e-300, np.log)
+    cond = run_trials(_outcome_entropies, trials, d, d, seed)
     est = math.log(d) - float(cond.mean())
     ln2 = math.log(2)
     return InfoGainReport(exact, exact / ln2, est, est / ln2, stderr(cond), trials)

@@ -100,6 +100,16 @@ class TestMoments:
         assert rep.c_anti_fit == pytest.approx(0.0, abs=1e-12)
         assert rep.c_sym_fit == pytest.approx((2 + 2) / (4 + 1), abs=1e-12)
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_refused(self, trials):
+        with pytest.raises(ValueError, match="at least 1 trial"):
+            dec.expected_M_check(2, 2, trials, 13)
+
+    def test_one_trial_runs(self):
+        # the mean of one draw: no standard error is reported, so none is needed
+        rep = dec.expected_M_check(2, 2, 1, 13)
+        assert np.all(np.isfinite(rep.empirical_mean)) and rep.frobenius_residual > 0
+
     def test_swap_trick_matches_direct_purity(self):
         rho = random_mixed_state(SubsystemLayout((2, 3), ("A", "B")), stream(17, 0))
         for keep in ("A", "B"):

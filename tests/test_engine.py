@@ -5,6 +5,7 @@ one exception is decoupling at shapes where the BLAS sums the Kronecker
 loop's zero-padded products in another order; there the values agree to
 roundoff."""
 
+import ast
 import math
 import re
 import sys
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from qshannon import _rng
 from qshannon import decoupling as dec
+from qshannon import coding as cod
 from qshannon import measure as mea
 from qshannon._rng import keyed_stream, normal_pairs, stream, trial_chunks
 from qshannon.channels import amplitude_damping, dilate, erasure
@@ -343,6 +345,46 @@ def test_qr_only_in_linalg():
     """One Haar sampler: no module but linalg calls a QR."""
     calls = {p.name for p in SRC.glob("*.py") if re.search(r"\bqr\(", p.read_text())}
     assert calls == {"linalg.py"}
+
+
+def callers(name):
+    """(module, top-level function or class) of every call of `name` in the
+    package."""
+    found = set()
+    for path in SRC.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                           getattr(node.func, "attr", None)):
+                    found.add((path.stem, getattr(top, "name", None)))
+    return found
+
+
+def test_one_trial_loop():
+    """Only run_trials loops over the chunks of a stacked experiment, and
+    refuses too few trials; expected_M_check keeps its ordered running sum,
+    and slepian_wolf_sim its per-trial loop."""
+    assert callers("trial_chunks") == {("_rng", "_run_range"), ("decoupling", "expected_M_check")}
+    assert callers("check_trials") == {("_rng", "run_trials"), ("decoupling", "DecouplingTrialSet"),
+                                       ("coding", "slepian_wolf_sim")}
+
+
+@pytest.mark.parametrize("np_int", [np.int64, np.uint64])
+def test_numpy_integer_seeds_draw_as_python_ints(np_int):
+    """A numpy integer seed or index keys the same stream as the Python int."""
+    want = stream(5, 3).random(8)
+    assert same(stream(np_int(5), np_int(3)).random(8), want)
+    assert same(keyed_stream(np_int(5), np_int(3)).random(8), want)
+    got, ref = normal_pairs(np_int(5), np_int(2), np_int(6), (3,)), normal_pairs(5, 2, 6, (3,))
+    assert same(got[0], ref[0]) and same(got[1], ref[1])
+    sigma = dec.random_sigma_ae(4, 2, stream(5, 0))
+    reps = [dec.decoupling_experiment(dec.DecouplingTrialSet(sigma, (2, 2), 5, s))
+            for s in (11, np_int(11))]
+    assert same(reps[0].per_trial, reps[1].per_trial)
+    gains = [mea.haar_information_gain(8, 5, s) for s in (9, np_int(9))]
+    assert gains[0].estimate_nats == gains[1].estimate_nats
+    conc = [cod.concentration_sim(0.2, 10, 50, s) for s in (7, np_int(7))]
+    assert conc[0].histogram == conc[1].histogram
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The sharded trial loop (`_rng.run_trials`): forked workers over contiguous
 trial ranges give the in-process values bit for bit, are sized from the CPU
-affinity and the BLAS thread setting, and are used only for large trials."""
+affinity and the BLAS thread setting, and are used only for large trials.
+Every stacked experiment runs through it."""
 
 import json
 import multiprocessing
@@ -34,14 +35,16 @@ def _raising_kernel(lo, hi):
 
 
 # ---------------------------------------------------------------------------
-# bit identity of the sharded mirror, in a fresh interpreter on one BLAS thread
+# bit identity of the sharded experiments, in a fresh interpreter on one BLAS
+# thread
 # ---------------------------------------------------------------------------
 
 SHARD_SCRIPT = textwrap.dedent("""
     import json, multiprocessing, os, sys, threading
     import numpy as np
-    from qshannon import _rng, decoupling as dec
-    from qshannon.linalg import DensityOperator, SubsystemLayout
+    from qshannon import _rng, coding, decoupling as dec, measure as mea
+    from qshannon.channels import amplitude_damping
+    from qshannon.linalg import DensityOperator, SubsystemLayout, haar_random_pure
 
     cases, lowered, one_cpu = json.loads(sys.argv[1])
     if one_cpu:
@@ -60,14 +63,36 @@ SHARD_SCRIPT = textwrap.dedent("""
         m[0, 0] = 1.0
         return DensityOperator(m, SubsystemLayout((d,), ("A",)))
 
+    # every run_trials result, as the experiments' modules see it
+    per_trial = []
+    for mod in (dec, mea, coding):
+        def recorded(*args, _run=mod.run_trials):
+            out = _run(*args)
+            per_trial.append(out.tobytes().hex())
+            return out
+        mod.run_trials = recorded
+
     def run(kind, n, age, trials):
         if kind == "mirror":
             return dec.black_hole_mirror_batch(n, 2, [2, 3], age, trials, 77)
+        if kind == "projected":
+            psi = haar_random_pure(SubsystemLayout((n, 2), ("R", "A")), _rng.stream(17, 0))
+            return [dec.projected_decoupling_experiment(psi, amplitude_damping(0.3), 2,
+                                                        trials, 29)]
+        if kind == "entropy":
+            return [dec.random_subsystem_entropy(n, 2, trials, 37)]
+        if kind == "gain":
+            return [mea.haar_information_gain(n, trials, 41)]
+        if kind == "bsc":
+            return [coding.bsc_random_code_sim(0.1, n, 0.3, trials, 5)]
         sigma = pure(n) if age == "pure" else dec.random_sigma_ae(n, 2, _rng.stream(5, 0))
         return [dec.decoupling_experiment(dec.DecouplingTrialSet(sigma, (2, n // 2), trials, 11))]
 
     def summary(reps):
-        return [(r.per_trial.tobytes().hex(), r.mean_l1.hex(), r.mc_stderr.hex()) for r in reps]
+        floats = [[v.hex() for v in vars(r).values() if isinstance(v, float)] for r in reps]
+        out = [per_trial[:], floats]
+        per_trial.clear()
+        return out
 
     before = (threading.active_count(), len(multiprocessing.active_children()))
     _rng.ProcessPoolExecutor = CountingPool
@@ -92,7 +117,8 @@ def run_shard_script(cases, lowered=False, one_cpu=False) -> dict:
 @pytest.mark.parametrize("lowered,cases", [
     (False, [["mirror", 9, "old", 3], ["mirror", 9, "old", 5], ["decouple", 512, "pure", 3]]),
     (True, [["mirror", 6, "old", 3], ["mirror", 6, "old", 5], ["mirror", 8, "young", 3],
-            ["mirror", 8, "young", 5], ["decouple", 8, "ae", 5]]),
+            ["mirror", 8, "young", 5], ["decouple", 8, "ae", 5], ["projected", 8, "", 5],
+            ["entropy", 8, "", 5], ["gain", 16, "", 5], ["bsc", 10, "", 7]]),
 ], ids=["large_trials", "threshold_lowered"])
 def test_sharded_runs_are_bit_identical_to_serial_kernel(lowered, cases):
     out = run_shard_script(cases, lowered)
@@ -119,6 +145,14 @@ def test_ranges_join_in_trial_order(monkeypatch, trials, workers):
     assert np.array_equal(out[0], np.arange(trials) * 3)
     assert os.getpid() not in out[1]
     assert (threading.active_count(), len(multiprocessing.active_children())) == before
+
+
+@pytest.mark.parametrize("trials", [0, 1])
+def test_too_few_trials_refused_before_a_pool(monkeypatch, trials):
+    monkeypatch.setattr(_rng, "shard_workers", lambda t, e: 2)
+    monkeypatch.setattr(_rng, "ProcessPoolExecutor", _no_pool)
+    with pytest.raises(ValueError, match="at least 2 trials"):
+        _rng.run_trials(_raising_kernel, trials, _rng.SHARD_ENTRIES)
 
 
 def test_worker_value_error_reaches_caller(monkeypatch):
