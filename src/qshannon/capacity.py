@@ -11,13 +11,14 @@ the quantum Blahut-Arimoto iteration for C_E.  Q1 and chi are not concave in
 general: their values are lower bounds (best value over seeded restarts) and
 carry no gap.
 
-Q1 and chi run L-BFGS-B on exact gradients.  Their objectives hold the Kraus
-operators as one stacked tensor K[k, b, a]: the Q1 and C_E objectives form
-V rho V† once and trace it both ways for N(rho) and N_c(rho), the chi
-objective sends every ensemble member through the channel in one einsum, and
-one eigh per matrix (or per stack) gives both the entropy and the matrix log2
-that the gradient needs.  `converged` on Q1 and chi is the L-BFGS
-termination status of the restart whose value is returned.
+Q1 and chi run L-BFGS-B on exact gradients through `_ascend`, the one seeded
+restart loop, which the accessible-information ascent shares.  Their
+objectives hold the Kraus operators as one stacked tensor K[k, b, a]: the Q1
+and C_E objectives form V rho V† once and trace it both ways for N(rho) and
+N_c(rho), the chi objective sends every ensemble member through the channel
+in one einsum, and one eigh per matrix (or per stack) gives both the entropy
+and the matrix log2 that the gradient needs.  `converged` on Q1 and chi is
+the L-BFGS termination status of the restart whose value is returned.
 """
 
 from __future__ import annotations
@@ -39,19 +40,14 @@ LN2 = math.log(2)
 def __getattr__(name: str):
     """`minimize` is scipy.optimize.minimize, imported on first access and
     then bound as a module global.  It stays a rebindable module attribute:
-    the L-BFGS call sites read it through `_minimize` at call time, so a
-    rebound `capacity.minimize` sees every restart."""
+    `_ascend` reads it at call time, so a rebound `capacity.minimize` sees
+    every restart."""
     if name == "minimize":
         from scipy.optimize import minimize
 
         globals()["minimize"] = minimize
         return minimize
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _minimize():
-    """The current `capacity.minimize`, importing SciPy's on first use."""
-    return globals().get("minimize") or __getattr__("minimize")
 
 
 @dataclass
@@ -133,6 +129,37 @@ def blahut_arimoto(w: np.ndarray, tol: float = 1e-9, max_iter: int = 1_000) -> C
 LBFGS_OPTIONS = {"maxiter": 10_000, "ftol": 1e-13, "gtol": 1e-9}
 
 
+def _complex(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The complex array of `shape` packed at the front of x as its real
+    parts, then its imaginary parts."""
+    n = math.prod(shape)
+    return (x[:n] + 1j * x[n: 2 * n]).reshape(shape)
+
+
+def _real(z: np.ndarray) -> np.ndarray:
+    """z packed as `_complex` reads it: real parts, then imaginary parts."""
+    return np.concatenate([z.real.reshape(-1), z.imag.reshape(-1)])
+
+
+def _ascend(neg, start, restarts: int, seed: int, options=LBFGS_OPTIONS):
+    """Best-of-restarts ascent: L-BFGS-B minimizes neg(x) -> (-objective,
+    -gradient) from x = start(stream(seed, r)) for r = 0..restarts-1.
+    Returns the best objective value, its x, the iterations of all restarts
+    and the L-BFGS termination status of the best restart; a tie goes to the
+    earlier restart.  `capacity.minimize` is read here, at call time."""
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    minimize = globals().get("minimize") or __getattr__("minimize")
+    best_val, best_x, iters, converged = -np.inf, None, 0, False
+    for r in range(restarts):
+        res = minimize(neg, start(stream(seed, r)), jac=True, method="L-BFGS-B",
+                       options=options)
+        iters += res.nit
+        if -res.fun > best_val:
+            best_val, best_x, converged = -res.fun, res.x, bool(res.success)
+    return best_val, best_x, iters, converged
+
+
 def _spectral(m: np.ndarray):
     """Entropy in bits and matrix log2 (eigenvalues clamped at 1e-18) of a
     Hermitian matrix, or of each matrix in a stack, both from one eigh."""
@@ -173,23 +200,19 @@ def _rho_objective_factory(channel: KrausChannel, assisted: bool):
     return f_and_grad
 
 
-def _unpack_square(x: np.ndarray, d: int) -> np.ndarray:
-    return (x[: d * d] + 1j * x[d * d:]).reshape(d, d)
-
-
 def _state_objective(f_and_grad, d: int):
     """neg(x) -> (-f, -gradient) over rho = L L† / tr(L L†), with the d x d
     complex L packed in x (real parts, then imaginary)."""
 
     def neg(x: np.ndarray):
-        ell = _unpack_square(x, d)
+        ell = _complex(x, (d, d))
         rho = ell @ dagger(ell)
         t = np.trace(rho).real
         rho = rho / t
         val, g = f_and_grad(rho)
         m = g - np.trace(g @ rho).real * np.eye(d)
         gl = (2.0 / t) * (m @ ell)
-        return -val, -np.concatenate([gl.real.reshape(-1), gl.imag.reshape(-1)])
+        return -val, -_real(gl)
 
     return neg
 
@@ -203,18 +226,11 @@ def one_shot_quantum_capacity(channel: KrausChannel, restarts: int = 10,
     is returned, or True when the maximally mixed input wins."""
     d = channel.dim_in
     f_and_grad = _rho_objective_factory(channel, assisted=False)
-    neg = _state_objective(f_and_grad, d)
-    minimize = _minimize()
-    best_val, best_rho, iters, converged = -np.inf, None, 0, False
-    for r in range(restarts):
-        rng = stream(seed, r)
-        x0 = rng.standard_normal(2 * d * d)
-        res = minimize(neg, x0, jac=True, method="L-BFGS-B", options=LBFGS_OPTIONS)
-        iters += res.nit
-        if -res.fun > best_val:
-            best_val, converged = -res.fun, bool(res.success)
-            ell = _unpack_square(res.x, d)
-            best_rho = (ell @ dagger(ell)) / np.trace(ell @ dagger(ell)).real
+    best_val, best_x, iters, converged = _ascend(
+        _state_objective(f_and_grad, d), lambda rng: rng.standard_normal(2 * d * d),
+        restarts, seed)
+    ell = _complex(best_x, (d, d))
+    best_rho = (ell @ dagger(ell)) / np.trace(ell @ dagger(ell)).real
     # the maximally mixed input is exactly optimal for the covariant catalog
     # families; always include it as a candidate
     mm = np.eye(d) / d
@@ -261,7 +277,7 @@ def entanglement_assisted_capacity(channel: KrausChannel, restarts: Optional[int
 def _unpack_ensemble(x: np.ndarray, m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """m unnormalized complex vectors (real parts, then imaginary) and the
     probabilities from the m logits that follow them."""
-    vecs = (x[: m * d] + 1j * x[m * d: 2 * m * d]).reshape(m, d)
+    vecs = _complex(x, (m, d))
     a = x[2 * m * d:] - x[2 * m * d:].max()
     p = np.exp(a)
     p /= p.sum()
@@ -293,8 +309,7 @@ def _chi_objective(channel: KrausChannel, m: int):
         proj = np.einsum("ia,ia->i", vecs.conj(), u).real / ts
         gv = (2.0 * p / ts)[:, None] * (u - proj[:, None] * vecs)
         gp = -np.einsum("ibc,cb->i", sigmas, log_sbar).real - h_members
-        grad = np.concatenate([gv.real.reshape(-1), gv.imag.reshape(-1),
-                               p * (gp - float(p @ gp))])
+        grad = np.concatenate([_real(gv), p * (gp - float(p @ gp))])
         return -chi, -grad
 
     return neg
@@ -309,18 +324,10 @@ def holevo_chi_channel(channel: KrausChannel, ensemble_size: Optional[int] = Non
     d = channel.dim_in
     m = ensemble_size if ensemble_size is not None else d * d
     nv = 2 * m * d  # real parameters for m unnormalized complex vectors
-    neg = _chi_objective(channel, m)
-    minimize = _minimize()
-
-    best_val, best_x, iters, converged = -np.inf, None, 0, False
-    for r in range(restarts):
-        rng = stream(seed, r)
-        x0 = np.concatenate([rng.standard_normal(nv), rng.standard_normal(m) * 0.1])
-        res = minimize(neg, x0, jac=True, method="L-BFGS-B", options=LBFGS_OPTIONS)
-        iters += res.nit
-        if -res.fun > best_val:
-            best_val, best_x, converged = -res.fun, res.x, bool(res.success)
-
+    best_val, best_x, iters, converged = _ascend(
+        _chi_objective(channel, m),
+        lambda rng: np.concatenate([rng.standard_normal(nv), rng.standard_normal(m) * 0.1]),
+        restarts, seed)
     vecs, p = _unpack_ensemble(best_x, m, d)
     ensemble = [(float(pi), np.outer(v, v.conj()) / (v.conj() @ v).real)
                 for pi, v in zip(p, vecs)]

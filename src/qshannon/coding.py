@@ -229,7 +229,8 @@ def slepian_wolf_sim(pxy, n: int, rate: float, trials: int, seed: int,
         product of per-column compositions (the last column varying
         fastest): its joint typicality and log-likelihood, and the
         competitors -- the jointly typical types the decoder can choose --
-        with their class sizes (exact ints) and log-likelihoods."""
+        with their class sizes and log-likelihoods.  A competitor class the
+        binomial sampler cannot take is refused here."""
         cols, mults = zip(*(column(c) for c in cy))
         pick = np.indices([len(c) for c in cols]).reshape(dy, -1)
         counts = np.stack([col[i] for col, i in zip(cols, pick)], axis=2)   # (K, dx, dy)
@@ -240,13 +241,15 @@ def slepian_wolf_sim(pxy, n: int, rate: float, trials: int, seed: int,
         ll = (counts * finite_cond).reshape(len(counts), -1).sum(axis=1)
         comp = np.flatnonzero(ok & possible)
         sizes = np.prod([m[i[comp]] for m, i in zip(mults, pick)], axis=0).tolist()
+        if max(sizes, default=0) >= BINOMIAL_CAP:
+            raise EnumerationCapError(
+                f"a joint type class of {max(sizes)} sequences exceeds the binomial "
+                f"sampler's cap 2^63 (n = {n})")
         rank = np.full(len(counts), -1)
         rank[comp] = np.arange(comp.size)
         return {"index": {row.tobytes(): k for k, row in enumerate(joint)},
                 "typical": ok, "own_ll": np.where(possible, ll, -np.inf), "rank": rank,
-                "sizes": sizes, "ll": ll[comp],
-                "sizes64": (np.array(sizes, dtype=np.int64)
-                            if max(sizes, default=0) < BINOMIAL_CAP else None)}
+                "sizes": np.array(sizes, dtype=np.int64), "ll": ll[comp]}
 
     tables: dict[tuple[int, ...], dict] = {}
     lookup: dict[bytes, tuple[dict, int]] = {}   # joint type -> (its table, its row)
@@ -262,17 +265,8 @@ def slepian_wolf_sim(pxy, n: int, rate: float, trials: int, seed: int,
             lookup[key] = tables[cy], tables[cy]["index"][key]
         tab, row = lookup[key]
         own = int(tab["rank"][row])     # the true sequence's own class, or -1
-        sizes = tab["sizes64"]
-        if sizes is None:
-            # refuse a class the binomial sampler cannot take, exactly as a
-            # scan of the classes one by one would
-            exact = [size - (j == own) for j, size in enumerate(tab["sizes"])]
-            if max(exact) >= BINOMIAL_CAP:
-                raise EnumerationCapError(
-                    f"a joint type class of {next(s for s in exact if s >= BINOMIAL_CAP)} "
-                    f"sequences exceeds the binomial sampler's cap 2^63 (n = {n})")
-            sizes = np.array(exact, dtype=np.int64)
-        elif own >= 0:
+        sizes = tab["sizes"]
+        if own >= 0:
             sizes = sizes.copy()
             sizes[own] -= 1     # exclude the true sequence itself
         if not tab["typical"][row]:

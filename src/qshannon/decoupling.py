@@ -418,6 +418,4 @@ def random_sigma_ae(d_a: int, d_e: int, seed_or_rng, purifier_dims=(1, 2, 4)) ->
     rng = as_generator(seed_or_rng)
     d_f = int(rng.choice(purifier_dims))
     lay = SubsystemLayout((d_a, d_e, d_f), ("A", "E", "F"))
-    psi = haar_random_pure(lay, rng)
-    reduced = partial_trace_pure(psi, ["A", "E"])
-    return DensityOperator(reduced.matrix, SubsystemLayout((d_a, d_e), ("A", "E")))
+    return partial_trace_pure(haar_random_pure(lay, rng), ["A", "E"])

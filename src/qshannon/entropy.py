@@ -18,7 +18,9 @@ from .linalg import (
     DensityOperator,
     PureState,
     clean_spectrum,
+    dagger,
     eig_hermitian,
+    is_hermitian,
     partial_trace,
 )
 
@@ -211,9 +213,12 @@ def gibbs_free_energy(hamiltonian: np.ndarray, beta: float, rho: DensityOperator
     h = np.asarray(hamiltonian, dtype=complex)
     if beta <= 0:
         raise ValueError("beta must be positive")
-    from scipy.linalg import expm
-
-    w = expm(-beta * h)
+    if not is_hermitian(h):
+        raise ValueError("Hamiltonian is not Hermitian")
+    vals, vecs = np.linalg.eigh(h)
+    # e^{-beta (H - E_0)}: the ground energy E_0 factors out of Z, and the
+    # largest weight is 1, so no weight overflows
+    w = (vecs * np.exp(-beta * (vals - vals[0]))) @ dagger(vecs)
     z = np.trace(w).real
     gibbs = DensityOperator(w / z, rho.layout)
 
@@ -256,9 +261,7 @@ def first_law_check(rho: DensityOperator, delta: np.ndarray, scale: float) -> Fi
         raise ValueError("rho must be full rank")
     perturbed = DensityOperator(rho.matrix + scale * delta, rho.layout)
     ds = von_neumann_entropy(perturbed, math.e) - von_neumann_entropy(rho, math.e)
-    from scipy.linalg import logm
-
-    k = -logm(rho.matrix)
+    k = -_log_on_support(rho.matrix)[0]
     dk = np.trace((perturbed.matrix - rho.matrix) @ k).real
     return FirstLawReport(ds, float(dk), abs(ds - dk))
 

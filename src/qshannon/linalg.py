@@ -375,7 +375,6 @@ def random_mixed_state(lay: SubsystemLayout, seed_or_rng, env_dim: int | None = 
     rng = as_generator(seed_or_rng)
     d = lay.total_dim
     de = env_dim if env_dim is not None else d
-    big = SubsystemLayout((d, de), ("sys", "env"))
-    psi = haar_random_pure(big, rng)
-    rho = partial_trace_pure(psi, ["sys"])
-    return DensityOperator(rho.matrix, lay)
+    # the arithmetic of partial_trace_pure(psi, ["sys"]), with one validation
+    m = haar_random_pure(SubsystemLayout((d, de), ("sys", "env")), rng).amplitudes.reshape(d, de)
+    return DensityOperator(m @ dagger(m), lay)

@@ -2,7 +2,8 @@
 information and its optimization, entropic uncertainty, and the information
 gain of a measurement on a Haar-random state.
 
-The accessible-information ascent runs L-BFGS-B on the exact gradient of
+The accessible-information ascent runs L-BFGS-B through `capacity._ascend`,
+the seeded restart loop the capacity ascents share, on the exact gradient of
 I(X;Y) in the POVM parameters, chained through the symmetric normalization by
 the Daleckii-Krein derivative of S^{-1/2}.  Its inner loop works on stacked
 (outcomes, d, d) arrays; a `POVM` is built and validated only for the result.
@@ -17,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rng import run_trials, stderr, stream
+from ._rng import run_trials, stderr
+from .capacity import _ascend, _complex, _real
 from .entropy import (conditional_mutual_classical, holevo_chi, row_entropies, shannon_entropy,
                       von_neumann_entropy)
 from .linalg import DensityOperator, dagger, haar_states
@@ -112,10 +114,9 @@ class AccessibleInfoResult:
 
 def _povm_elements(x: np.ndarray, outcomes: int, d: int):
     """E_y = M R_y M with R_y = A_y†A_y + eps I and M = S^{-1/2}, S = sum_y R_y,
-    for the complex d x d matrices A_y packed in x (real parts, then imaginary).
+    for the complex d x d matrices A_y packed in x as `capacity._complex` reads them.
     Returns the stacked elements and the pieces the gradient reuses."""
-    half = outcomes * d * d
-    a = (x[:half] + 1j * x[half:]).reshape(outcomes, d, d)
+    a = _complex(x, (outcomes, d, d))
     raw = dagger(a) @ a + 1e-12 * np.eye(d)
     vals, vecs = np.linalg.eigh(raw.sum(axis=0))
     vals = np.clip(vals, 1e-14, None)
@@ -159,8 +160,7 @@ def _accessible_info_objective(ensemble, outcomes: int):
         kernel = -1.0 / (root[:, None] * root[None, :] * (root[:, None] + root[None, :]))
         db = vecs @ (kernel * (dagger(vecs) @ b @ vecs)) @ dagger(vecs)
         w = mg @ inv_sqrt + db
-        grad = (2.0 * (a @ w)).reshape(-1)
-        return -value, -np.concatenate([grad.real, grad.imag])
+        return -value, -_real(2.0 * (a @ w))
 
     return neg
 
@@ -174,23 +174,14 @@ def optimize_accessible_info(ensemble, outcomes: int, restarts: int = 20,
     iterate feasible.  L-BFGS-B gets the exact gradient of I(X;Y) in the
     A's (see `_accessible_info_objective`); only the winning POVM is built
     and validated."""
-    from scipy.optimize import minimize
-
     if outcomes < 2:
         raise ValueError("need at least two outcomes")
     d = (ensemble[0][1].matrix if isinstance(ensemble[0][1], DensityOperator)
          else np.asarray(ensemble[0][1])).shape[0]
     npar = 2 * outcomes * d * d
-    neg = _accessible_info_objective(ensemble, outcomes)
-
-    best_val, best_x = -np.inf, None
-    for r in range(restarts):
-        rng = stream(seed, r)
-        x0 = rng.standard_normal(npar)
-        res = minimize(neg, x0, jac=True, method="L-BFGS-B",
-                       options={"maxiter": 2000, "ftol": 1e-13})
-        if -res.fun > best_val:
-            best_val, best_x = -res.fun, res.x
+    best_val, best_x, _, _ = _ascend(_accessible_info_objective(ensemble, outcomes),
+                                     lambda rng: rng.standard_normal(npar), restarts, seed,
+                                     {"maxiter": 2000, "ftol": 1e-13})
     els = list(_povm_elements(best_x, outcomes, d)[0])
     # symmetrize away roundoff so the POVM validator is happy
     els[0] = els[0] + (np.eye(d) - sum(els))

@@ -3,8 +3,9 @@ import pytest
 
 from qshannon import capacity as cap
 from qshannon import channels as ch
+from qshannon import measure as mea
 from qshannon._rng import stream
-from qshannon.linalg import dagger, haar_isometry
+from qshannon.linalg import SubsystemLayout, dagger, haar_isometry, random_mixed_state
 
 
 class TestBlahutArimoto:
@@ -432,3 +433,139 @@ class TestConverged:
         res = cap.one_shot_quantum_capacity(ch.depolarizing(p), restarts=2)
         assert res.value == pytest.approx(cap.depolarizing_q1_mm(p), abs=1e-12)
         assert res.converged
+
+
+# ---------------------------------------------------------------------------
+# the restart loop: Q1, chi and accessible information through `_ascend`
+# against the per-restart loops each of them ran before, kept as oracles
+# ---------------------------------------------------------------------------
+
+def q1_loop(channel, restarts, seed):
+    from scipy.optimize import minimize
+
+    d = channel.dim_in
+    f_and_grad = cap._rho_objective_factory(channel, assisted=False)
+    neg = cap._state_objective(f_and_grad, d)
+    best_val, best_rho, iters, converged = -np.inf, None, 0, False
+    for r in range(restarts):
+        x0 = stream(seed, r).standard_normal(2 * d * d)
+        res = minimize(neg, x0, jac=True, method="L-BFGS-B", options=cap.LBFGS_OPTIONS)
+        iters += res.nit
+        if -res.fun > best_val:
+            best_val, converged = -res.fun, bool(res.success)
+            ell = (res.x[: d * d] + 1j * res.x[d * d:]).reshape(d, d)
+            best_rho = (ell @ dagger(ell)) / np.trace(ell @ dagger(ell)).real
+    mm = np.eye(d) / d
+    mm_val, _ = f_and_grad(mm)
+    if mm_val > best_val:
+        best_val, best_rho, converged = mm_val, mm, True
+    return cap.CapacityResult(max(best_val, 0.0), best_rho, iters, converged, raw_value=best_val)
+
+
+def chi_loop(channel, m, restarts, seed):
+    from scipy.optimize import minimize
+
+    d = channel.dim_in
+    nv = 2 * m * d
+    neg = cap._chi_objective(channel, m)
+    best_val, best_x, iters, converged = -np.inf, None, 0, False
+    for r in range(restarts):
+        rng = stream(seed, r)
+        x0 = np.concatenate([rng.standard_normal(nv), rng.standard_normal(m) * 0.1])
+        res = minimize(neg, x0, jac=True, method="L-BFGS-B", options=cap.LBFGS_OPTIONS)
+        iters += res.nit
+        if -res.fun > best_val:
+            best_val, best_x, converged = -res.fun, res.x, bool(res.success)
+    vecs = (best_x[: m * d] + 1j * best_x[m * d: nv]).reshape(m, d)
+    a = best_x[nv:] - best_x[nv:].max()
+    p = np.exp(a)
+    p /= p.sum()
+    ensemble = [(float(pi), np.outer(v, v.conj()) / (v.conj() @ v).real)
+                for pi, v in zip(p, vecs)]
+    return cap.CapacityResult(best_val, ensemble, iters, converged)
+
+
+def accessible_info_loop(ensemble, outcomes, restarts, seed):
+    """(value, POVM elements) of the best restart."""
+    from scipy.optimize import minimize
+
+    d = ensemble[0][1].dim
+    neg = mea._accessible_info_objective(ensemble, outcomes)
+    best_val, best_x = -np.inf, None
+    for r in range(restarts):
+        x0 = stream(seed, r).standard_normal(2 * outcomes * d * d)
+        res = minimize(neg, x0, jac=True, method="L-BFGS-B",
+                       options={"maxiter": 2000, "ftol": 1e-13})
+        if -res.fun > best_val:
+            best_val, best_x = -res.fun, res.x
+    els = list(mea._povm_elements(best_x, outcomes, d)[0])
+    els[0] = els[0] + (np.eye(d) - sum(els))
+    return best_val, [(e + dagger(e)) / 2 for e in els]
+
+
+RESTART_CHANNELS = {
+    "ad_0.3": ch.amplitude_damping(0.3), "dep_0.1": ch.depolarizing(0.1),
+    "erasure_0.2": ch.erasure(0.2), "random_2_2": random_channel(2, 2, 401),
+    "random_2_3": random_channel(2, 3, 402), "random_3_2": random_channel(3, 2, 404),
+}
+RESTART_RUNS = [(1, 3), (3, 11), (4, 17)]     # (restarts, seed)
+
+
+def random_ensemble(seed):
+    """Three equiprobable random mixed qubit states."""
+    rng = stream(seed, 99)
+    return [(1 / 3, random_mixed_state(SubsystemLayout((2,), ("A",)), rng)) for _ in range(3)]
+
+
+def same_result(new, old):
+    assert new.value == old.value
+    assert new.raw_value == old.raw_value
+    assert new.iterations == old.iterations
+    assert new.converged is old.converged
+
+
+class TestRestartLoop:
+    @pytest.mark.parametrize("name", sorted(RESTART_CHANNELS))
+    @pytest.mark.parametrize("restarts,seed", RESTART_RUNS)
+    def test_q1_matches_restart_loop(self, name, restarts, seed):
+        channel = RESTART_CHANNELS[name]
+        new = cap.one_shot_quantum_capacity(channel, restarts=restarts, seed=seed)
+        old = q1_loop(channel, restarts, seed)
+        same_result(new, old)
+        assert np.array_equal(new.argmax, old.argmax)
+
+    @pytest.mark.parametrize("name", sorted(RESTART_CHANNELS))
+    @pytest.mark.parametrize("restarts,seed", RESTART_RUNS)
+    def test_chi_matches_restart_loop(self, name, restarts, seed):
+        channel = RESTART_CHANNELS[name]
+        m = channel.dim_in
+        new = cap.holevo_chi_channel(channel, ensemble_size=m, restarts=restarts, seed=seed)
+        old = chi_loop(channel, m, restarts, seed)
+        same_result(new, old)
+        for (p, rho), (p_old, rho_old) in zip(new.argmax, old.argmax, strict=True):
+            assert p == p_old
+            assert np.array_equal(rho, rho_old)
+
+    @pytest.mark.parametrize("outcomes", [2, 3])
+    @pytest.mark.parametrize("restarts,seed", RESTART_RUNS)
+    def test_accessible_info_matches_restart_loop(self, outcomes, restarts, seed):
+        ensemble = random_ensemble(seed)
+        new = mea.optimize_accessible_info(ensemble, outcomes, restarts=restarts, seed=seed)
+        value, elements = accessible_info_loop(ensemble, outcomes, restarts, seed)
+        assert new.value == value
+        assert all(np.array_equal(e, e_old)
+                   for e, e_old in zip(new.povm.elements, elements, strict=True))
+
+    @pytest.mark.parametrize("restarts", [0, -1])
+    @pytest.mark.parametrize("quantity", ["Q1", "chi", "accessible_info"])
+    def test_no_restarts_refused(self, quantity, restarts, monkeypatch):
+        def ran(*args, **kwargs):
+            raise AssertionError("L-BFGS ran")
+
+        monkeypatch.setattr(cap, "minimize", ran)
+        run = {"Q1": lambda: cap.one_shot_quantum_capacity(ch.depolarizing(0.1), restarts),
+               "chi": lambda: cap.holevo_chi_channel(ch.depolarizing(0.1), restarts=restarts),
+               "accessible_info": lambda: mea.optimize_accessible_info(
+                   random_ensemble(5), 2, restarts)}
+        with pytest.raises(ValueError, match=f"restarts must be >= 1, got {restarts}"):
+            run[quantity]()

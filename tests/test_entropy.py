@@ -216,6 +216,26 @@ class TestThermo:
         assert rep.identity_residual < 1e-10
         assert rep.free_energy_rho >= rep.free_energy_gibbs - 1e-12
 
+    def test_gibbs_state_matches_expm(self):
+        from scipy.linalg import expm
+
+        h = np.array([[0.2, 0.5 - 0.4j], [0.5 + 0.4j, -1.3]])
+        w = expm(-2.1 * h)
+        rep = gibbs_free_energy(h, 2.1, density_from_matrix(np.diag([0.6, 0.4])))
+        assert np.max(np.abs(rep.gibbs_state.matrix - w / np.trace(w).real)) < 1e-14
+
+    def test_gibbs_state_at_large_beta_spread(self):
+        # e^{-800} underflows to 0, but no weight may overflow
+        rep = gibbs_free_energy(np.diag([-800.0, 0.0]), 1.0,
+                                density_from_matrix(np.diag([0.6, 0.4])))
+        assert np.array_equal(rep.gibbs_state.matrix, np.diag([1.0, 0.0]))
+
+    def test_gibbs_refuses_non_hermitian_hamiltonian(self):
+        # refused at the boundary, not later as an invalid density operator
+        with pytest.raises(ValueError, match="Hamiltonian is not Hermitian"):
+            gibbs_free_energy(np.array([[0.0, 1.0], [0.0, 1.0]]), 1.0,
+                              density_from_matrix(np.diag([0.6, 0.4])))
+
     def test_first_law_quadratic_convergence(self):
         rho = density_from_matrix(np.diag([0.7, 0.3]))
         delta = np.array([[0.2, 0.1j], [-0.1j, -0.2]])

@@ -1,6 +1,7 @@
 """Imports: every top-level import in the package's modules is used by that
-module, `import qshannon` loads no SciPy, and the optimizers import
-scipy.optimize on first use behind a rebindable `capacity.minimize`.
+module, `import qshannon` loads no SciPy, no module imports scipy.linalg, and
+the optimizers import scipy.optimize on first use behind a rebindable
+`capacity.minimize`.
 
 Imports on a line marked `# noqa: F401` are deliberate re-exports (the
 package `__init__`) and are exempt."""
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import qshannon
-from qshannon import capacity, channels
+from qshannon import capacity, channels, measure, suites
 
 SRC = Path(qshannon.__file__).resolve().parent.parent
 TESTS = Path(__file__).resolve().parent
@@ -45,6 +46,26 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path) == []
+
+
+def scipy_linalg_imports(path: Path) -> list[str]:
+    """Every import of scipy.linalg in the module, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [f"{node.module}.{alias.name}" for alias in node.names] + [node.module]
+        else:
+            continue
+        if any(n == "scipy.linalg" or n.startswith("scipy.linalg.") for n in names):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_scipy_linalg_import(path):
+    assert scipy_linalg_imports(path) == []
 
 
 def run_fresh(code: str, **env_vars: str) -> str:
@@ -126,13 +147,16 @@ CAPACITY_RUNS = {
     "Q1": lambda ch, r: capacity.one_shot_quantum_capacity(ch, restarts=r, seed=3),
     "CE": lambda ch, r: capacity.entanglement_assisted_capacity(ch, restarts=r, seed=3),
     "chi": lambda ch, r: capacity.holevo_chi_channel(ch, ensemble_size=2, restarts=r, seed=3),
+    "accessible_info": lambda ch, r: measure.optimize_accessible_info(suites.trine_ensemble(), 3,
+                                                                      restarts=r, seed=3),
 }
 
 
 @pytest.mark.parametrize("quantity", sorted(CAPACITY_RUNS))
 def test_rebound_minimize_sees_every_restart(quantity):
     # an outside tracer rebinds capacity.minimize between calls; C_E runs no
-    # L-BFGS, so it makes no call
+    # L-BFGS, so it makes no call, and accessible information (which ignores
+    # the channel) runs its restarts through the same seam
     run, restarts = CAPACITY_RUNS[quantity], 3
     expected = 0 if quantity == "CE" else restarts
     channel = channels.amplitude_damping(0.3)
