@@ -394,6 +394,8 @@ def capacity_sweep(family: str, grid: Sequence[float],
                    restarts: int = 6, seed: int = 19) -> list[SweepRow]:
     """Capacity quantities over a parameter grid for a catalog family.
     `restarts` and `seed` drive the C1 and Q1 ascents."""
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; have {sorted(_FAMILIES)}")
     unknown = [q for q in which if q not in SWEEP_QUANTITIES]

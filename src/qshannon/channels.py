@@ -28,7 +28,9 @@ import numpy as np
 from .linalg import (
     DensityOperator,
     SubsystemLayout,
+    _unchecked,
     dagger,
+    density_from_matrix,
     trace_distance,
 )
 
@@ -82,17 +84,20 @@ class KrausChannel:
 
 
 def _input_matrix(channel: KrausChannel, rho: DensityOperator | np.ndarray) -> np.ndarray:
+    """rho's matrix; a bare array is checked here as a density operator, so
+    the channel's output needs no check."""
     m = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
     if m.shape[0] != channel.dim_in:
         raise ValueError(f"input dim {m.shape[0]} != channel dim_in {channel.dim_in}")
-    return m
+    return m if isinstance(rho, DensityOperator) else density_from_matrix(m).matrix
 
 
 def apply(channel: KrausChannel, rho: DensityOperator | np.ndarray) -> DensityOperator:
     """N(rho) = sum_k K rho K†."""
     k = channel.kraus_ops
     out = (k @ _input_matrix(channel, rho) @ dagger(k)).sum(axis=0)
-    return DensityOperator(out, SubsystemLayout((channel.dim_out,), ("B",)))
+    lay = _unchecked(SubsystemLayout, (int(channel.dim_out),), ("B",))
+    return _unchecked(DensityOperator, out, lay)
 
 
 def dilate(channel: KrausChannel) -> np.ndarray:
@@ -105,8 +110,8 @@ def dilate(channel: KrausChannel) -> np.ndarray:
 def dilate_state(channel: KrausChannel, rho: DensityOperator | np.ndarray) -> DensityOperator:
     """Joint output-environment state V rho V† with layout (B, E)."""
     v = dilate(channel)
-    lay = SubsystemLayout((channel.dim_out, channel.env_dim), ("B", "E"))
-    return DensityOperator(v @ _input_matrix(channel, rho) @ dagger(v), lay)
+    lay = _unchecked(SubsystemLayout, (int(channel.dim_out), channel.env_dim), ("B", "E"))
+    return _unchecked(DensityOperator, v @ _input_matrix(channel, rho) @ dagger(v), lay)
 
 
 def complementary(channel: KrausChannel) -> KrausChannel:
@@ -115,8 +120,8 @@ def complementary(channel: KrausChannel) -> KrausChannel:
     The complement's Kraus operator for output-basis index b of B is
     L_b[k, a] = K_k[b, a]: the tensor with axes k and b swapped."""
     kind = f"{channel.kind}_complement" if channel.kind else None
-    return KrausChannel(channel.kraus_ops.transpose(1, 0, 2), channel.dim_in,
-                        channel.env_dim, kind=kind, params=dict(channel.params))
+    return _unchecked(KrausChannel, channel.kraus_ops.transpose(1, 0, 2).copy(), channel.dim_in,
+                      channel.env_dim, kind, dict(channel.params))
 
 
 def _compose_ops(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
@@ -129,8 +134,8 @@ def compose(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
     """outer after inner."""
     if inner.dim_out != outer.dim_in:
         raise ValueError("dimension mismatch in composition")
-    return KrausChannel(_compose_ops(outer.kraus_ops, inner.kraus_ops),
-                        inner.dim_in, outer.dim_out)
+    return _unchecked(KrausChannel, _compose_ops(outer.kraus_ops, inner.kraus_ops),
+                      inner.dim_in, outer.dim_out, None, {})
 
 
 def _choi(ops: np.ndarray) -> np.ndarray:

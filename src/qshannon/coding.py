@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -63,9 +63,6 @@ class SimReport:
     rate: float
     trials: int
     mc_stderr: float
-    op: str = ""
-    params: dict = field(default_factory=dict)
-    seed: Optional[int] = None
 
 
 def _bernoulli_stderr(p_hat: float, trials: int) -> float:
@@ -283,8 +280,7 @@ def slepian_wolf_sim(pxy, n: int, rate: float, trials: int, seed: int,
             errors += 1
 
     err = errors / trials
-    return SimReport(1 - err, rate, trials, _bernoulli_stderr(err, trials), op="slepian_wolf",
-                     seed=seed, params={"n": n, "rate": rate, "delta": delta})
+    return SimReport(1 - err, rate, trials, _bernoulli_stderr(err, trials))
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +330,7 @@ def bsc_random_code_sim(p: float, n: int, rate: float, trials: int, seed: int) -
     # a uint8 codebook counts as 1/16 of a complex entry per bit
     wrong = run_trials(_bsc_trials, trials, -(-n_codewords * n // 16), p, n, n_codewords, seed)
     err = int(np.count_nonzero(wrong)) / trials
-    return SimReport(1 - err, rate, trials, _bernoulli_stderr(err, trials), op="bsc_random_code",
-                     seed=seed, params={"p": p, "n": n, "rate": rate})
+    return SimReport(1 - err, rate, trials, _bernoulli_stderr(err, trials))
 
 
 # ---------------------------------------------------------------------------

@@ -134,15 +134,11 @@ def decoupling_experiment(t: DecouplingTrialSet) -> DecouplingReport:
 # Haar second-moment constants
 # ---------------------------------------------------------------------------
 
-def _swap_operator(d: int) -> np.ndarray:
-    """SWAP on two copies of a d-dimensional space: |i j> -> |j i>."""
-    return np.eye(d * d).reshape(d, d, d * d).transpose(1, 0, 2).reshape(d * d, d * d)
-
-
 def _partial_swap(d1: int, d2: int, factor: int = 1) -> np.ndarray:
     """Swap of one tensor factor of A = A1 A2 between the copies (A, A'),
     identity on the other: for factor 1 (A2), |a1 a2, b1 b2> -> |a1 b2, b1 a2>;
-    for factor 0 (A1), |a1 a2, b1 b2> -> |b1 a2, a1 b2>."""
+    for factor 0 (A1), |a1 a2, b1 b2> -> |b1 a2, a1 b2>.  The full SWAP on two
+    copies of a d-dimensional space is _partial_swap(1, d)."""
     d = d1 * d2
     axes = [0, 1, 2, 3]
     axes[factor], axes[factor + 2] = factor + 2, factor
@@ -183,7 +179,7 @@ def expected_M_check(d1: int, d2: int, trials: int, seed: int) -> MomentReport:
     mean = acc / trials
 
     c_i, c_s, _, _ = moment_constants(d1, d2)
-    s = _swap_operator(d)
+    s = _partial_swap(1, d)
     model = c_i * np.eye(d * d) + c_s * s
 
     p_sym = (np.eye(d * d) + s) / 2
@@ -250,8 +246,7 @@ def projected_decoupling_experiment(psi_ra, channel: KrausChannel, d_r2: int,
     phi = (amps @ v_dil.T).reshape(d_r, d_b, d_e)   # indices (r, b, e)
     sigma_re = np.einsum("rbe,sbf->resf", phi, phi.conj()).reshape(d_r * d_e, d_r * d_e)
     sigma_e = np.einsum("rbe,rbf->ef", phi, phi.conj())
-    purity = DensityOperator(sigma_re, SubsystemLayout((d_r, d_e), ("R", "E"))).purity()
-    bound = math.sqrt(d_r2 * d_e * purity)
+    bound = math.sqrt(d_r2 * d_e * np.trace(sigma_re @ sigma_re).real)
     target = np.kron(np.eye(d_r2) / d_r2, sigma_e)
 
     entries = max(d_r * d_r, d_r * d_b * d_e, (d_r2 * d_e) ** 2)
@@ -286,35 +281,23 @@ def _emitted_count(n: int, k: int, c: int, age: str) -> int:
     raise ValueError(f"age must be 'old' or 'young', got {age!r}")
 
 
-def _mirror_l1_old(u: np.ndarray, n: int, k: int, kp: int) -> np.ndarray:
-    """Per-trial distances, over a stack of unitaries, for the old
-    (radiation-entangled) black hole.
+def _mirror_l1(iso: np.ndarray, k: int, kp: int) -> np.ndarray:
+    """Per-trial distances over a stack of Haar isometries from the 2^n hole
+    qubits: of each old hole's unitary, or of each young hole's action on the
+    2^k-dimensional infalling subspace.
 
-    The interior starts maximally entangled with collected radiation and the
-    infalling qubits maximally entangled with a reference, so the global pure
-    state, viewed as a map from the references to the interior, is just
-    U / sqrt(2^n); the retained-system marginal is a Gram matrix of a
-    rearrangement of U."""
-    d_a, d_rem, d_em = 2 ** k, 2 ** (n - kp), 2 ** kp
-    t = u.reshape(-1, d_em, d_rem, d_a, 2 ** (n - k))       # (trial, emitted, kept, a, b)
-    w = np.transpose(t, (0, 2, 3, 1, 4)).reshape(-1, d_rem * d_a, d_em * 2 ** (n - k))
-    sigma = (w @ dagger(w)) / (2 ** n)
-    d = d_rem * d_a
-    evals = np.linalg.eigvalsh(sigma)
-    return np.abs(evals - 1.0 / d).sum(axis=-1)
-
-
-def _mirror_l1_young(iso: np.ndarray, n: int, k: int, kp: int) -> np.ndarray:
-    """Per-trial distances, over a stack of isometries, for the young
-    (initially pure) black hole; only the action of U on the 2^k-dimensional
-    infalling subspace matters."""
-    d_a, d_rem, d_em = 2 ** k, 2 ** (n - kp), 2 ** kp
-    t = iso.reshape(-1, d_em, d_rem, d_a) / math.sqrt(d_a)  # (trial, emitted, kept, a)
-    m = np.transpose(t, (0, 2, 3, 1)).reshape(-1, d_rem * d_a, d_em)
-    sigma = m @ dagger(m)
-    d = d_rem * d_a
-    evals = np.linalg.eigvalsh(sigma)
-    return np.abs(evals - 1.0 / d).sum(axis=-1)
+    The old interior starts maximally entangled with collected radiation and
+    the young one pure; the infalling qubits are maximally entangled with a
+    reference.  So the global pure state, as a map from the references into
+    the hole, is the isometry over sqrt(cols), and the retained-system
+    marginal is the Gram matrix of a rearrangement of it, over cols."""
+    rows, cols = iso.shape[1:]
+    d_a, d_em = 2 ** k, 2 ** kp
+    d_rem, d_b = rows // d_em, cols // d_a
+    t = iso.reshape(-1, d_em, d_rem, d_a, d_b)       # (trial, emitted, kept, a, b)
+    w = np.transpose(t, (0, 2, 3, 1, 4)).reshape(-1, d_rem * d_a, d_em * d_b)
+    evals = np.linalg.eigvalsh((w @ dagger(w)) / cols)
+    return np.abs(evals - 1.0 / (d_rem * d_a)).sum(axis=-1)
 
 
 def _mirror_shape(n: int, k: int, kps: list[int], age: str) -> tuple[int, int]:
@@ -327,10 +310,8 @@ def _mirror_shape(n: int, k: int, kps: list[int], age: str) -> tuple[int, int]:
 def _mirror_trials(n: int, k: int, kps: list[int], age: str, seed: int,
                    a: int, b: int) -> np.ndarray:
     """The run_trials kernel of black_hole_mirror_batch: one row per margin."""
-    cols = _mirror_shape(n, k, kps, age)[0]
-    mirror_l1 = _mirror_l1_old if age == "old" else _mirror_l1_young
-    iso = haar_isometries(seed, a, b, 2 ** n, cols)
-    return np.array([mirror_l1(iso, n, k, kp) for kp in kps]).reshape(len(kps), b - a)
+    iso = haar_isometries(seed, a, b, 2 ** n, _mirror_shape(n, k, kps, age)[0])
+    return np.array([_mirror_l1(iso, k, kp) for kp in kps]).reshape(len(kps), b - a)
 
 
 def black_hole_mirror_batch(n: int, k: int, cs: Sequence[int], age: str,

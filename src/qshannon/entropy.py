@@ -16,7 +16,9 @@ import numpy as np
 
 from .linalg import (
     DensityOperator,
+    LayoutError,
     PureState,
+    _unchecked,
     clean_spectrum,
     dagger,
     eig_hermitian,
@@ -213,14 +215,17 @@ def gibbs_free_energy(hamiltonian: np.ndarray, beta: float, rho: DensityOperator
     h = np.asarray(hamiltonian, dtype=complex)
     if beta <= 0:
         raise ValueError("beta must be positive")
+    if h.shape != (rho.dim, rho.dim):
+        raise LayoutError(f"Hamiltonian shape {h.shape} does not match rho dim {rho.dim}")
     if not is_hermitian(h):
         raise ValueError("Hamiltonian is not Hermitian")
     vals, vecs = np.linalg.eigh(h)
     # e^{-beta (H - E_0)}: the ground energy E_0 factors out of Z, and the
     # largest weight is 1, so no weight overflows
-    w = (vecs * np.exp(-beta * (vals - vals[0]))) @ dagger(vecs)
+    log_w = -beta * (vals - vals[0])
+    w = (vecs * np.exp(log_w)) @ dagger(vecs)
     z = np.trace(w).real
-    gibbs = DensityOperator(w / z, rho.layout)
+    gibbs = _unchecked(DensityOperator, w / z, rho.layout)
 
     def free_energy(state: DensityOperator) -> float:
         energy = np.trace(state.matrix @ h).real
@@ -228,7 +233,9 @@ def gibbs_free_energy(hamiltonian: np.ndarray, beta: float, rho: DensityOperator
 
     f_rho = free_energy(rho)
     f_gibbs = free_energy(gibbs)
-    d = relative_entropy_quantum(rho, gibbs, math.e)
+    # ln rho_beta = -beta (H - E_0) - ln Z stays finite where a weight underflows
+    log_gibbs = (vecs * (log_w - math.log(z))) @ dagger(vecs)
+    d = float(max(np.trace(rho.matrix @ (_log_on_support(rho.matrix)[0] - log_gibbs)).real, 0.0))
     return GibbsReport(gibbs, f_rho, f_gibbs, d, abs(d - beta * (f_rho - f_gibbs)))
 
 

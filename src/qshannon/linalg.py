@@ -7,7 +7,7 @@ instead of by index bookkeeping at every call site.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import prod
 from typing import Iterable, Sequence
 
@@ -29,6 +29,16 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
     return bool(np.max(np.abs(m - dagger(m))) <= tol)
+
+
+def _unchecked(cls, *values):
+    """An instance of the frozen dataclass `cls` with its fields set to `values`,
+    without `__post_init__`.  Only for results derived from validated states
+    and channels, passed in the form `__post_init__` would store."""
+    obj = object.__new__(cls)
+    for f, v in zip(fields(cls), values, strict=True):
+        object.__setattr__(obj, f.name, v)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -68,7 +78,7 @@ class SubsystemLayout:
         if unknown:
             raise LayoutError(f"unknown labels {sorted(unknown)}")
         pairs = [(d, lb) for d, lb in zip(self.dims, self.labels) if lb in keep]
-        return SubsystemLayout(tuple(d for d, _ in pairs), tuple(lb for _, lb in pairs))
+        return _unchecked(SubsystemLayout, tuple(d for d, _ in pairs), tuple(lb for _, lb in pairs))
 
 
 def layout(spec: dict[str, int] | Sequence[tuple[str, int]]) -> SubsystemLayout:
@@ -106,7 +116,7 @@ class PureState:
 
     def density(self) -> "DensityOperator":
         amps = self.amplitudes
-        return DensityOperator(np.outer(amps, amps.conj()), self.layout)
+        return _unchecked(DensityOperator, np.outer(amps, amps.conj()), self.layout)
 
 
 @dataclass(frozen=True)
@@ -147,7 +157,7 @@ def density_from_matrix(m: np.ndarray, label: str = "A") -> DensityOperator:
 
 def maximally_mixed(lay: SubsystemLayout) -> DensityOperator:
     d = lay.total_dim
-    return DensityOperator(np.eye(d) / d, lay)
+    return _unchecked(DensityOperator, (np.eye(d) / d).astype(complex), lay)
 
 
 def tensor(*parts: PureState | DensityOperator):
@@ -164,12 +174,12 @@ def tensor(*parts: PureState | DensityOperator):
         amps = parts[0].amplitudes
         for p in parts[1:]:
             amps = np.kron(amps, p.amplitudes)
-        return PureState(amps, lay)
+        return _unchecked(PureState, amps, lay)
     mats = [p.density().matrix if isinstance(p, PureState) else p.matrix for p in parts]
     out = mats[0]
     for m in mats[1:]:
         out = np.kron(out, m)
-    return DensityOperator(out, lay)
+    return _unchecked(DensityOperator, out, lay)
 
 
 def _partial_trace(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
@@ -191,7 +201,7 @@ def partial_trace(rho: DensityOperator, keep: Iterable[str]) -> DensityOperator:
         raise LayoutError("keep must be non-empty")
     idx = rho.layout.indices(keep)
     reduced = _partial_trace(rho.matrix, rho.layout.dims, idx)
-    return DensityOperator(reduced, rho.layout.restrict(keep))
+    return _unchecked(DensityOperator, reduced, rho.layout.restrict(keep))
 
 
 def partial_trace_pure(psi: PureState, keep: Iterable[str]) -> DensityOperator:
@@ -205,7 +215,7 @@ def partial_trace_pure(psi: PureState, keep: Iterable[str]) -> DensityOperator:
     t = np.transpose(t, idx + other)
     d_keep = prod(dims[i] for i in idx)
     m = t.reshape(d_keep, -1)
-    return DensityOperator(m @ dagger(m), psi.layout.restrict(keep))
+    return _unchecked(DensityOperator, m @ dagger(m), psi.layout.restrict(keep))
 
 
 def eig_hermitian(m: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
@@ -274,9 +284,8 @@ def purify(rho: DensityOperator, ref_label: str = _REF_LABEL) -> PureState:
     lbl = ref_label
     while lbl in rho.layout.labels:
         lbl += "'"
-    lay = SubsystemLayout(rho.layout.dims + (rank,), rho.layout.labels + (lbl,))
-    amps = amps / np.linalg.norm(amps)
-    return PureState(amps, lay)
+    lay = _unchecked(SubsystemLayout, rho.layout.dims + (rank,), rho.layout.labels + (lbl,))
+    return _unchecked(PureState, amps / np.linalg.norm(amps), lay)
 
 
 def _phase_fixed_qr(z: np.ndarray) -> np.ndarray:
@@ -333,7 +342,7 @@ def haar_random_pure(lay: SubsystemLayout, seed_or_rng) -> PureState:
     rng = as_generator(seed_or_rng)
     d = lay.total_dim
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return PureState(_unit_rows(v[None])[0], lay)
+    return _unchecked(PureState, _unit_rows(v[None])[0], lay)
 
 
 def haar_states(seed: int, start: int, stop: int, d: int) -> np.ndarray:
@@ -375,6 +384,6 @@ def random_mixed_state(lay: SubsystemLayout, seed_or_rng, env_dim: int | None = 
     rng = as_generator(seed_or_rng)
     d = lay.total_dim
     de = env_dim if env_dim is not None else d
-    # the arithmetic of partial_trace_pure(psi, ["sys"]), with one validation
+    # the arithmetic of partial_trace_pure(psi, ["sys"])
     m = haar_random_pure(SubsystemLayout((d, de), ("sys", "env")), rng).amplitudes.reshape(d, de)
-    return DensityOperator(m @ dagger(m), lay)
+    return _unchecked(DensityOperator, m @ dagger(m), lay)

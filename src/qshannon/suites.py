@@ -438,7 +438,7 @@ def check_decoupling(instances: int = 200, trials: int = 30) -> CheckResult:
     mom = dec.expected_M_check(2, 2, trials=10_000, seed=421)
     tol = 5 / math.sqrt(10_000)
     # least-squares projection of the empirical mean onto span{I, SWAP}
-    s = dec._swap_operator(4)
+    s = dec._partial_swap(1, 4)
     gram = np.array([[16.0, np.trace(s).real], [np.trace(s).real, 16.0]])
     rhs = np.array([np.trace(mom.empirical_mean).real,
                     np.trace(mom.empirical_mean @ s).real])

@@ -228,6 +228,14 @@ class TestClosedForms:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("which", [("CE",), ("C1", "CE", "Q1")])
+    def test_restarts_below_one_refused_before_any_work(self, which, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a capacity ran")
+        monkeypatch.setattr(cap, "entanglement_assisted_capacity", no_work)
+        with pytest.raises(ValueError, match="restarts must be >= 1, got 0"):
+            cap.capacity_sweep("depolarizing", [0.1], which, restarts=0)
+
     def test_rows_and_csv(self):
         rows = cap.capacity_sweep("erasure", [0.0, 0.25], ("Q1",), restarts=2)
         assert len(rows) == 2

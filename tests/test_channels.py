@@ -141,6 +141,22 @@ class TestApplyAndDilate:
         out = ch.apply(ch.erasure(0.4, 3), rho)
         assert np.trace(out.matrix).real == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("fn", [ch.apply, ch.dilate_state])
+    @pytest.mark.parametrize("m,word", [
+        ([[0.5, 0.5], [0.0, 0.5]], "not Hermitian"),
+        ([[0.7, 0.0], [0.0, 0.7]], "trace"),
+        ([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]], "shape"),
+    ], ids=["non_hermitian", "trace", "not_square"])
+    def test_bad_bare_input_refused(self, fn, m, word):
+        # the input is checked, not the output: dephasing would map the
+        # non-Hermitian matrix to the valid diag(0.5, 0.5)
+        with pytest.raises(ValueError, match=word):
+            fn(ch.completely_dephasing(2), np.array(m))
+
+    def test_input_of_another_dimension_refused(self):
+        with pytest.raises(ValueError, match="input dim 3 != channel dim_in 2"):
+            ch.apply(ch.depolarizing(0.1), random_state((3,), "A", 7))
+
 
 class TestChoi:
     def test_unit_trace(self):

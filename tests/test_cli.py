@@ -389,6 +389,8 @@ class TestDefaultsTable:
           "restarts": 0}, [], "restarts must be >= 1, got 0"),
         ({"command": "capacity", "family": "erasure", "grid": [0.1], "which": ["Q1"],
           "restarts": -2}, [], "restarts must be >= 1, got -2"),
+        ({"command": "capacity", "family": "depolarizing", "grid": [0.1], "which": ["CE"],
+          "restarts": 0}, [], "restarts must be >= 1, got 0"),
     ], ids=["blackhole_k_float", "blackhole_c_empty", "blackhole_c_bool", "blackhole_c_float",
             "blackhole_c_string", "concentrate_p_string", "concentrate_n_bool",
             "concentrate_n_zero", "concentrate_p_overflow", "measure_d_float", "measure_no_example",
@@ -397,7 +399,7 @@ class TestDefaultsTable:
             "out_int", "format_xml", "capacity_unknown_quantity", "entropy_tol",
             "concentrate_misspelt_trials", "trine_d", "compress_unknown_example",
             "decouple_dims_extra", "measure_d_huge", "capacity_c1_no_restarts",
-            "capacity_q1_negative_restarts"])
+            "capacity_q1_negative_restarts", "capacity_ce_no_restarts"])
     def test_bad_input_is_one_line_usage_error(self, tmp_path, capsys, config, argv, word):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(config))

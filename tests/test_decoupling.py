@@ -236,5 +236,5 @@ class TestSubsystemEntropy:
 
     @pytest.mark.parametrize("d1,d2", [(8, 2), (4, 4)])
     def test_mean_within_four_sigma_of_page(self, d1, d2):
-        rep = dec.random_subsystem_entropy(d1, d2, trials=2000, seed=67)
+        rep = dec.random_subsystem_entropy(d1, d2, trials=40_000, seed=67)
         assert abs(rep.mean_entropy - rep.page_mean) <= 4 * rep.mc_stderr

@@ -439,7 +439,7 @@ def test_moment_mean_equals_loop(d1, d2, trials, chunk_entries):
 @pytest.mark.parametrize("d1,d2", [(1, 1), (2, 2), (2, 3), (3, 2)])
 def test_permutation_operators_equal_loops(d1, d2):
     assert same(dec._partial_swap(d1, d2), loop_partial_swap(d1, d2))
-    assert same(dec._swap_operator(d1 * d2), loop_swap(d1 * d2))
+    assert same(dec._partial_swap(1, d1 * d2), loop_swap(d1 * d2))
 
 
 @pytest.mark.parametrize("case", ["ad", "erasure", "rank2"])
@@ -469,6 +469,20 @@ def test_mirror_per_trial_equals_loop(n, k, cs, age, trials, chunk_entries):
     per_c = loop_mirror(n, k, kps, age, trials, 31)
     for rep, vals in zip(reps, per_c):
         assert rep.mean_l1 == float(vals.mean()) and rep.mc_stderr == stderr(vals)
+
+
+@pytest.mark.parametrize("n,k,cs,age,trials,atol", [
+    (5, 1, [0, 1], "old", 7, 0.0), (5, 3, [0, 1], "old", 3, 0.0),
+    (5, 1, [0, 1, 2], "young", 41, 1e-15), (7, 3, [0, 1], "young", 9, 1e-15)])
+def test_mirror_at_odd_k(n, k, cs, age, trials, atol):
+    """One kernel divides each hole's Gram matrix by its column count.  The
+    loop's young hole scales the draw by 1/sqrt(2^k) first, which is exact
+    only at even k; at odd k the two differ by roundoff (at most 7.8e-16 per
+    trial seen over 400 trials at n = 5..11, k = 1 and 3)."""
+    reps = dec.black_hole_mirror_batch(n, k, cs, age, trials, 31)
+    kps = [dec._emitted_count(n, k, c, age) for c in cs]
+    for rep, vals in zip(reps, loop_mirror(n, k, kps, age, trials, 31)):
+        np.testing.assert_allclose(rep.per_trial, vals, rtol=0, atol=atol)
 
 
 @pytest.mark.parametrize("d1,d2,trials", [(8, 2, 37), (4, 4, 2), (16, 1, 5), (1, 4, 3), (2, 8, 9)])

@@ -27,6 +27,7 @@ from qshannon.entropy import (
     von_neumann_entropy,
 )
 from qshannon.linalg import (
+    LayoutError,
     PureState,
     clean_spectrum,
     density_from_matrix,
@@ -229,6 +230,19 @@ class TestThermo:
         rep = gibbs_free_energy(np.diag([-800.0, 0.0]), 1.0,
                                 density_from_matrix(np.diag([0.6, 0.4])))
         assert np.array_equal(rep.gibbs_state.matrix, np.diag([1.0, 0.0]))
+
+    def test_gibbs_relative_entropy_finite_where_a_weight_underflows(self):
+        # ln rho_beta = -beta (H - E_0) - ln Z is finite though e^{-800} is 0:
+        # D = 0.6 ln 0.6 + 0.4 ln 0.4 + 0.4 * 800 nats
+        rep = gibbs_free_energy(np.diag([-800.0, 0.0]), 1.0,
+                                density_from_matrix(np.diag([0.6, 0.4])))
+        exact = 0.6 * math.log(0.6) + 0.4 * math.log(0.4) + 320
+        assert rep.relative_entropy == pytest.approx(exact, rel=1e-9, abs=0)
+        assert rep.identity_residual <= 1e-9
+
+    def test_gibbs_refuses_hamiltonian_of_another_dimension(self):
+        with pytest.raises(LayoutError, match=r"Hamiltonian shape \(3, 3\)"):
+            gibbs_free_energy(np.eye(3), 1.0, density_from_matrix(np.diag([0.6, 0.4])))
 
     def test_gibbs_refuses_non_hermitian_hamiltonian(self):
         # refused at the boundary, not later as an invalid density operator

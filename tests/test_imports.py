@@ -1,7 +1,8 @@
 """Imports: every top-level import in the package's modules is used by that
 module, `import qshannon` loads no SciPy, no module imports scipy.linalg, and
 the optimizers import scipy.optimize on first use behind a rebindable
-`capacity.minimize`.
+`capacity.minimize`.  Also: `linalg._unchecked` is used only by the
+functions allowed to build unchecked results.
 
 Imports on a line marked `# noqa: F401` are deliberate re-exports (the
 package `__init__`) and are exempt."""
@@ -66,6 +67,47 @@ def scipy_linalg_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_scipy_linalg_import(path):
     assert scipy_linalg_imports(path) == []
+
+
+# the functions that build results with linalg._unchecked: each derives them
+# from states and channels that were validated already
+UNCHECKED_PRODUCERS = {
+    "linalg.py": {"restrict", "density", "maximally_mixed", "tensor", "partial_trace",
+                  "partial_trace_pure", "haar_random_pure", "random_mixed_state", "purify"},
+    "channels.py": {"apply", "dilate_state", "complementary", "compose"},
+    "entropy.py": {"gibbs_free_energy"},
+}
+
+
+def unchecked_uses(path: Path) -> list[tuple[str, int]]:
+    """(enclosing function, line) of every use of the name `_unchecked` in the
+    module, its definition aside; an import counts as a use in "<module>"."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                found.extend(("<module>", child.lineno) for alias in child.names
+                             if "_unchecked" in (alias.name.split(".")[-1], alias.asname))
+            elif (isinstance(child, ast.Name) and child.id == "_unchecked") or (
+                    isinstance(child, ast.Attribute) and child.attr == "_unchecked"):
+                found.append((func, child.lineno))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            visit(child, getattr(child, "name", "<lambda>") if is_def else func)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_unchecked_constructor_only_in_producers(path):
+    producers = UNCHECKED_PRODUCERS.get(path.name, set())
+    # a module with producers may import the name; cli.py and suites.py have none
+    allowed = producers | {"<module>"} if producers else set()
+    uses = unchecked_uses(path)
+    assert [f"{path.name}:{line} in {func}" for func, line in uses if func not in allowed] == []
+    # and every listed producer uses it, so the list stays exact
+    assert {func for func, _ in uses} - {"<module>"} == producers
 
 
 def run_fresh(code: str, **env_vars: str) -> str:

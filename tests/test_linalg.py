@@ -1,11 +1,16 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_pure, random_state
+from qshannon import channels as ch
+from qshannon import decoupling as dec
 from qshannon._rng import stream
+from qshannon.entropy import conditional_mutual_quantum, gibbs_free_energy
 from qshannon.linalg import (
     DensityOperator,
     LayoutError,
@@ -224,3 +229,84 @@ def test_triangle_inequality(idx):
     b = random_state((3,), "A", 79, index=idx)
     c = random_state((3,), "A", 83, index=idx)
     assert trace_distance(a, c) <= trace_distance(a, b) + trace_distance(b, c) + 1e-10
+
+
+# ---------------------------------------------------------------------------
+# validation at the boundary: results derived from validated states and
+# channels are built without their __post_init__ checks
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def checks(monkeypatch):
+    """How often each class's __post_init__ runs, by class name."""
+    counts = Counter()
+    for cls in (SubsystemLayout, PureState, DensityOperator, ch.KrausChannel):
+        def counted(self, cls=cls, check=cls.__post_init__):
+            counts[cls.__name__] += 1
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return counts
+
+
+def derived_calls():
+    """Calls on validated inputs that only derive states and channels."""
+    rho = random_state((2, 3, 2), "ABC", 89)
+    psi_ra = random_pure((4, 2), ("R", "A"), 97)
+    qubit = random_state((2,), "A", 107)
+    ad, dep = ch.amplitude_damping(0.3), ch.depolarizing(0.1)
+    trial_set = dec.DecouplingTrialSet(dec.random_sigma_ae(4, 2, stream(101, 0)), (2, 2), 5, 103)
+    return {
+        "conditional_mutual_quantum": lambda: conditional_mutual_quantum(rho),
+        "decoupling_experiment": lambda: dec.decoupling_experiment(trial_set),
+        "projected_decoupling_experiment":
+            lambda: dec.projected_decoupling_experiment(psi_ra, ad, 2, 5, 109),
+        "partial_trace": lambda: partial_trace(rho, ["A", "C"]),
+        "apply": lambda: ch.apply(ad, qubit),
+        "compose": lambda: ch.compose(dep, ad),
+        "complementary": lambda: ch.complementary(ad),
+    }
+
+
+@pytest.mark.parametrize("name", ["conditional_mutual_quantum", "decoupling_experiment",
+                                  "projected_decoupling_experiment", "partial_trace", "apply",
+                                  "compose", "complementary"])
+def test_derived_results_are_not_checked_again(name, checks):
+    call = derived_calls()[name]
+    checks.clear()
+    call()
+    assert dict(checks) == {}
+
+
+def test_derived_results_pass_the_checks_they_skip():
+    """Each derived result, rebuilt by its public constructor, passes every
+    check and stores the same fields in the same form."""
+    rho = random_state((2, 3), "AB", 113)
+    psi = random_pure((2, 3), "CD", 127)
+    qubit = random_state((2,), "A", 131)
+    ad = ch.amplitude_damping(0.3)
+    h = np.array([[0.0, 0.3], [0.3, 1.0]])
+    results = [
+        rho.layout.restrict(["B"]), psi.density(), maximally_mixed(rho.layout),
+        tensor(psi, random_pure((2,), "E", 149)), tensor(rho, psi), partial_trace(rho, ["B"]),
+        partial_trace_pure(psi, ["D"]), haar_random_pure(qubits("AB"), stream(137, 0)),
+        random_mixed_state(qubits("AB"), stream(139, 0), env_dim=3), purify(rho),
+        ch.apply(ad, qubit), ch.apply(ad, qubit.matrix), ch.dilate_state(ad, qubit),
+        ch.complementary(ad), ch.compose(ad, ad), gibbs_free_energy(h, 1.3, qubit).gibbs_state,
+    ]
+    for out in results:
+        fields = [f.name for f in dataclasses.fields(out)]
+        again = type(out)(*(getattr(out, f) for f in fields))
+        for f in fields:
+            a, b = getattr(out, f), getattr(again, f)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+                assert a.flags.c_contiguous
+            else:
+                assert repr(a) == repr(b)
+
+
+@pytest.mark.parametrize("channel", [ch.amplitude_damping(0.3), ch.identity_channel(2)],
+                         ids=["two_kraus", "one_kraus"])
+def test_complementary_kraus_tensor_is_fresh(channel):
+    ops = ch.complementary(channel).kraus_ops
+    assert ops.flags.c_contiguous and not np.shares_memory(ops, channel.kraus_ops)
