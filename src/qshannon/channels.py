@@ -28,9 +28,9 @@ import numpy as np
 from .linalg import (
     DensityOperator,
     SubsystemLayout,
+    _state_matrix,
     _unchecked,
     dagger,
-    density_from_matrix,
     trace_distance,
 )
 
@@ -83,19 +83,13 @@ class KrausChannel:
         return len(self.kraus_ops)
 
 
-def _input_matrix(channel: KrausChannel, rho: DensityOperator | np.ndarray) -> np.ndarray:
-    """rho's matrix; a bare array is checked here as a density operator, so
-    the channel's output needs no check."""
-    m = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
-    if m.shape[0] != channel.dim_in:
-        raise ValueError(f"input dim {m.shape[0]} != channel dim_in {channel.dim_in}")
-    return m if isinstance(rho, DensityOperator) else density_from_matrix(m).matrix
-
-
 def apply(channel: KrausChannel, rho: DensityOperator | np.ndarray) -> DensityOperator:
     """N(rho) = sum_k K rho K†."""
+    m = _state_matrix(rho)
+    if m.shape[0] != channel.dim_in:
+        raise ValueError(f"input dim {m.shape[0]} != channel dim_in {channel.dim_in}")
     k = channel.kraus_ops
-    out = (k @ _input_matrix(channel, rho) @ dagger(k)).sum(axis=0)
+    out = (k @ m @ dagger(k)).sum(axis=0)
     lay = _unchecked(SubsystemLayout, (int(channel.dim_out),), ("B",))
     return _unchecked(DensityOperator, out, lay)
 
@@ -109,9 +103,12 @@ def dilate(channel: KrausChannel) -> np.ndarray:
 
 def dilate_state(channel: KrausChannel, rho: DensityOperator | np.ndarray) -> DensityOperator:
     """Joint output-environment state V rho V† with layout (B, E)."""
+    m = _state_matrix(rho)
+    if m.shape[0] != channel.dim_in:
+        raise ValueError(f"input dim {m.shape[0]} != channel dim_in {channel.dim_in}")
     v = dilate(channel)
     lay = _unchecked(SubsystemLayout, (int(channel.dim_out), channel.env_dim), ("B", "E"))
-    return _unchecked(DensityOperator, v @ _input_matrix(channel, rho) @ dagger(v), lay)
+    return _unchecked(DensityOperator, v @ m @ dagger(v), lay)
 
 
 def complementary(channel: KrausChannel) -> KrausChannel:
@@ -241,7 +238,7 @@ def cq_channel(basis: np.ndarray, output_states: Sequence[np.ndarray]) -> KrausC
     d_in = b.shape[0]
     if b.shape[1] != d_in or np.max(np.abs(dagger(b) @ b - np.eye(d_in))) > 1e-10:
         raise ValueError("basis columns must be orthonormal")
-    outs = [np.asarray(s, dtype=complex) for s in output_states]
+    outs = [_state_matrix(s) for s in output_states]
     if len(outs) != d_in:
         raise ValueError("need one output state per basis vector")
     d_out = outs[0].shape[0]

@@ -257,7 +257,7 @@ def run_decouple(config):
     import numpy as np
 
     from . import decoupling as dec
-    from .linalg import DensityOperator, SubsystemLayout
+    from .linalg import density_from_matrix
 
     params = config["params"]
     dims = params.get("dims")
@@ -271,9 +271,7 @@ def run_decouple(config):
         from ._rng import stream
         sigma = dec.random_sigma_ae(da, de, stream(config["seed"], 0))
     else:
-        m = np.zeros((da, da), dtype=complex)
-        m[0, 0] = 1.0
-        sigma = DensityOperator(m, SubsystemLayout((da,), ("A",)))
+        sigma = density_from_matrix(np.diag(np.eye(da)[0]))
     rep = dec.decoupling_experiment(dec.DecouplingTrialSet(
         sigma, (d1, d2), config["trials"], config["seed"]))
     results = {"mean_l1": rep.mean_l1, "bound": rep.bound,

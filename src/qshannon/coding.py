@@ -73,15 +73,15 @@ def _bernoulli_stderr(p_hat: float, trials: int) -> float:
 # classical typicality
 # ---------------------------------------------------------------------------
 
+def _log2s(p, floor: float) -> np.ndarray:
+    """math.log2 of each entry above floor, else -inf (np.log2 rounds some doubles apart)."""
+    return np.array([math.log2(x) if x > floor else -math.inf for x in p])
+
+
 def sequence_log_prob(x: Sequence[int], p) -> float:
     """log2 probability of an i.i.d. sequence; -inf on a zero-probability letter."""
-    p = validate_prob_dist(p)
-    total = 0.0
-    for letter in x:
-        if p[letter] <= 0:
-            return -math.inf
-        total += math.log2(p[letter])
-    return total
+    logp = _log2s(validate_prob_dist(p), 0.0)
+    return float(sum(logp[letter] for letter in x))
 
 
 def is_typical(x: Sequence[int], p, spec: TypicalitySpec) -> bool:
@@ -89,10 +89,7 @@ def is_typical(x: Sequence[int], p, spec: TypicalitySpec) -> bool:
     H - delta <= -(1/n) log2 p(x) <= H + delta."""
     n = len(x)
     h = shannon_entropy(p)
-    lp = sequence_log_prob(x, p)
-    if lp == -math.inf:
-        return False
-    rate = -lp / n
+    rate = -sequence_log_prob(x, p) / n     # inf on a zero-probability letter
     return h - spec.delta <= rate <= h + spec.delta
 
 
@@ -162,7 +159,7 @@ def typical_set_census(p, spec: TypicalitySpec) -> CensusReport:
         raise EnumerationCapError(
             f"{d}^{spec.n} sequences exceeds the census cap {CENSUS_CAP}")
     h = shannon_entropy(p)
-    logp = np.array([math.log2(x) if x > 0 else -math.inf for x in p])
+    logp = _log2s(p, 0.0)
     count = 0
     prob = 0.0
     for _, lg, m in zip(*_typical_classes(spec.n, logp, h, spec.delta)):
@@ -192,16 +189,16 @@ def slepian_wolf_sim(pxy, n: int, rate: float, trials: int, seed: int,
         raise ValueError(f"block length must be >= 1, got {n}")
     pxy = np.asarray(pxy, dtype=float)
     dx, dy = pxy.shape
+    flat = pxy.reshape(-1)
     px = pxy.sum(axis=1)
     py = pxy.sum(axis=0)
-    hx, hy = shannon_entropy(px), shannon_entropy(py)
-    hxy = shannon_entropy(pxy.reshape(-1))
+    hx, hy, hxy = shannon_entropy(px), shannon_entropy(py), shannon_entropy(flat)
     nbins = max(int(round(2.0 ** (n * rate))), 1)
 
-    flat = pxy.reshape(-1)
-    log_pxy = np.where(flat > 0, np.log2(np.where(flat > 0, flat, 1.0)), -np.inf)
-    log_px = np.where(px > 0, np.log2(np.where(px > 0, px, 1.0)), -np.inf)
-    log_py = np.where(py > 0, np.log2(np.where(py > 0, py, 1.0)), -np.inf)
+    def log2(q: np.ndarray) -> np.ndarray:
+        return np.where(q > 0, np.log2(np.where(q > 0, q, 1.0)), -np.inf)
+
+    log_pxy, log_px, log_py = log2(flat), log2(px), log2(py)
     # conditional log-likelihood log2 p(x|y) per joint cell
     with np.errstate(divide="ignore", invalid="ignore"):
         log_cond = log_pxy.reshape(dx, dy) - log_py[None, :]
@@ -362,7 +359,7 @@ def schumacher_projector(rho: DensityOperator, spec: TypicalitySpec,
     vals, vecs = eig_hermitian(rho.matrix)
     vals = np.clip(vals, 0.0, None)
     h = shannon_entropy(vals)
-    logp = np.array([math.log2(v) if v > 1e-300 else -math.inf for v in vals])
+    logp = _log2s(vals, 1e-300)
     typical = []
     dim = 0
     weight = 0.0
@@ -405,7 +402,7 @@ def _rank_limited_subspace(rho: DensityOperator, n: int,
     d = rho.dim
     vals, vecs = eig_hermitian(rho.matrix)
     vals = np.clip(vals, 0.0, None)
-    logp = np.array([math.log2(v) if v > 1e-300 else -math.inf for v in vals])
+    logp = _log2s(vals, 1e-300)
     types = _type_table(n, d)
     rates = _type_rates(types, logp, n)
     types, lgs = types[np.isfinite(rates)], -rates[np.isfinite(rates)] * n

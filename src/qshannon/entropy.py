@@ -4,7 +4,9 @@ protocol-rate bookkeeping.
 All entropies are in bits by default; the thermodynamic routines
 (`gibbs_free_energy`, `landauer_work`, `first_law_check`) use natural logs.
 Relative entropies return `math.inf` when the first argument's support is not
-contained in the second's.
+contained in the second's.  Every -sum p log p is summed by `row_entropies`
+(a zero entropy is +0.0).  Bare-array states and ensembles are checked once,
+where they enter (`linalg._state_matrix`, `_ensemble`).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .linalg import (
     DensityOperator,
     LayoutError,
     PureState,
+    _state_matrix,
     _unchecked,
     clean_spectrum,
     dagger,
@@ -42,34 +45,38 @@ def validate_prob_dist(p) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
+def _ensemble(ensemble) -> tuple[np.ndarray, np.ndarray]:
+    """(probabilities, stacked matrices) of [(p, rho), ...], each checked once."""
+    probs = validate_prob_dist([p for p, _ in ensemble])
+    return probs, np.stack([_state_matrix(r) for _, r in ensemble])
+
+
 def shannon_entropy(p, base: float = 2) -> float:
     """H(p) = -sum p log p, with 0 log 0 = 0."""
-    p = validate_prob_dist(p)
-    nz = p[p > ZERO_EIGENVALUE]
-    return float(-np.sum(nz * _log(nz, base)))
+    return float(row_entropies(validate_prob_dist(p), ZERO_EIGENVALUE, lambda x: _log(x, base)))
 
 
 def row_entropies(p: np.ndarray, floor: float, log) -> np.ndarray:
     """-sum p log p over the entries above `floor` of each row of p, each row
-    summed exactly as the 1-D array of its kept entries would be."""
-    keep = p > floor
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = -np.sum(p * log(p), axis=-1)
-    # a dropped entry would shift the others within the pairwise sum
-    for i in np.flatnonzero(~keep.all(axis=-1)):
-        nz = p[i][keep[i]]
-        out[i] = -np.sum(nz * log(nz))
-    return out
+    summed exactly as the 1-D array of its kept entries would be, 0 as +0.0."""
+    rows = p.reshape(-1, p.shape[-1])
+    keep = rows > floor
+    out = 0.0 - (rows * log(np.where(keep, rows, 1.0))).sum(axis=-1)
+    # a dropped entry adds p log 1 = 0: below 8 entries numpy adds in order, so
+    # that changes nothing, but from 8 it would shift the pairwise sum
+    if rows.shape[1] >= 8:
+        for i in np.flatnonzero(~keep.all(axis=-1)):
+            nz = rows[i][keep[i]]
+            out[i] = 0.0 - np.sum(nz * log(nz))
+    return out.reshape(p.shape[:-1])
 
 
 def conditional_mutual_classical(pxy, base: float = 2) -> tuple[float, float]:
     """(H(X|Y), I(X;Y)) of a joint distribution with x as the first axis."""
     pxy = np.asarray(pxy, dtype=float)
-    if abs(pxy.sum() - 1.0) > 1e-8 or pxy.min() < -1e-12:
-        raise ValueError("joint distribution must be nonnegative and sum to 1")
+    h_xy = shannon_entropy(pxy.reshape(-1), base)   # checks the joint distribution
     px = pxy.sum(axis=1)
     py = pxy.sum(axis=0)
-    h_xy = shannon_entropy(pxy.reshape(-1), base)
     h_x = shannon_entropy(px, base)
     h_y = shannon_entropy(py, base)
     return h_xy - h_y, h_x + h_y - h_xy
@@ -104,9 +111,13 @@ def majorizes(p, q, tol: float = 1e-9) -> bool:
 
 def von_neumann_entropy(rho: DensityOperator | np.ndarray, base: float = 2) -> float:
     """H(rho) = -tr(rho log rho) = Shannon entropy of the spectrum."""
-    m = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
+    return _von_neumann(_state_matrix(rho), base)
+
+
+def _von_neumann(m: np.ndarray, base: float) -> float:
+    """von_neumann_entropy of a matrix already checked as a density operator."""
     vals = clean_spectrum(np.linalg.eigvalsh(m))
-    return float(row_entropies(vals[None], ZERO_EIGENVALUE, lambda x: _log(x, base))[0])
+    return float(row_entropies(vals, ZERO_EIGENVALUE, lambda x: _log(x, base)))
 
 
 @dataclass(frozen=True)
@@ -160,8 +171,7 @@ def _log_on_support(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def relative_entropy_quantum(rho, sigma, base: float = 2) -> float:
     """D(rho || sigma) = tr rho (log rho - log sigma); +inf on support violation."""
-    mr = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
-    ms = sigma.matrix if isinstance(sigma, DensityOperator) else np.asarray(sigma, dtype=complex)
+    mr, ms = _state_matrix(rho), _state_matrix(sigma)
     if mr.shape != ms.shape:
         raise ValueError("dimension mismatch")
     log_s, proj_s = _log_on_support(ms)
@@ -186,12 +196,13 @@ def coherent_information(rho_a: DensityOperator, channel, base: float = 2) -> fl
 
 def holevo_chi(ensemble, base: float = 2) -> float:
     """chi = H(avg state) - avg of member entropies for [(p, rho), ...]."""
-    probs = validate_prob_dist([p for p, _ in ensemble])
-    mats = [r.matrix if isinstance(r, DensityOperator) else np.asarray(r, dtype=complex)
-            for _, r in ensemble]
+    return _holevo_chi(*_ensemble(ensemble), base)
+
+
+def _holevo_chi(probs: np.ndarray, mats: np.ndarray, base: float = 2) -> float:
+    """holevo_chi of an ensemble unpacked by `_ensemble`."""
     avg = sum(p * m for p, m in zip(probs, mats))
-    return von_neumann_entropy(avg, base) - float(
-        sum(p * von_neumann_entropy(m, base) for p, m in zip(probs, mats)))
+    return _von_neumann(avg, base) - float(sum(p * _von_neumann(m, base) for p, m in zip(probs, mats)))
 
 
 def squashed_bound(rho_abc: DensityOperator, a="A", b="B", c="C") -> float:

@@ -155,6 +155,11 @@ def density_from_matrix(m: np.ndarray, label: str = "A") -> DensityOperator:
     return DensityOperator(m, SubsystemLayout((m.shape[0],), (label,)))
 
 
+def _state_matrix(rho: DensityOperator | np.ndarray) -> np.ndarray:
+    """The matrix of a density operator, or of a bare array checked as one."""
+    return rho.matrix if isinstance(rho, DensityOperator) else density_from_matrix(rho).matrix
+
+
 def maximally_mixed(lay: SubsystemLayout) -> DensityOperator:
     d = lay.total_dim
     return _unchecked(DensityOperator, (np.eye(d) / d).astype(complex), lay)
@@ -373,7 +378,7 @@ def trace_distance(a, b) -> float:
 def fidelity_pure(psi: PureState | np.ndarray, rho: DensityOperator | np.ndarray) -> float:
     """<psi| rho |psi>, clipped into [0, 1]."""
     v = psi.amplitudes if isinstance(psi, PureState) else np.asarray(psi, dtype=complex).reshape(-1)
-    m = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
+    m = _state_matrix(rho)
     if m.shape[0] != v.size:
         raise ValueError(f"dimension mismatch {v.size} vs {m.shape}")
     return float(np.clip((v.conj() @ m @ v).real, 0.0, 1.0))

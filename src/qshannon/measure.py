@@ -5,8 +5,9 @@ gain of a measurement on a Haar-random state.
 The accessible-information ascent runs L-BFGS-B through `capacity._ascend`,
 the seeded restart loop the capacity ascents share, on the exact gradient of
 I(X;Y) in the POVM parameters, chained through the symmetric normalization by
-the Daleckii-Krein derivative of S^{-1/2}.  Its inner loop works on stacked
-(outcomes, d, d) arrays; a `POVM` is built and validated only for the result.
+the Daleckii-Krein derivative of S^{-1/2}.  The ensemble is checked once
+(`entropy._ensemble`), the inner loop works on its stacked (outcomes, d, d)
+arrays, and only the resulting `POVM` is validated.
 The information gain is a one-chunk kernel run by `_rng.run_trials`.
 """
 
@@ -20,9 +21,9 @@ import numpy as np
 
 from ._rng import run_trials, stderr
 from .capacity import _ascend, _complex, _real
-from .entropy import (conditional_mutual_classical, holevo_chi, row_entropies, shannon_entropy,
-                      von_neumann_entropy)
-from .linalg import DensityOperator, dagger, haar_states
+from .entropy import (_ensemble, _holevo_chi, conditional_mutual_classical, row_entropies,
+                      shannon_entropy, von_neumann_entropy)
+from .linalg import DensityOperator, _state_matrix, dagger, haar_states
 
 POVM_TOL = 1e-10
 
@@ -59,7 +60,7 @@ class POVM:
 
 def measure(rho: DensityOperator | np.ndarray, m: POVM) -> np.ndarray:
     """Outcome distribution Prob(a) = tr(E_a rho)."""
-    mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
+    mat = _state_matrix(rho)
     if mat.shape[0] != m.dim:
         raise ValueError("dimension mismatch")
     p = np.array([np.trace(e @ mat).real for e in m.elements])
@@ -90,9 +91,9 @@ def pretty_good_measurement(vectors: Sequence[np.ndarray]) -> POVM:
 
 def outcome_joint(ensemble, m: POVM) -> np.ndarray:
     """Joint distribution p(x, y) = p(x) tr(E_y rho_x)."""
-    joint = np.zeros((len(ensemble), len(m)))
-    for x, (p, rho) in enumerate(ensemble):
-        mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
+    probs, mats = _ensemble(ensemble)
+    joint = np.zeros((len(probs), len(m)))
+    for x, (p, mat) in enumerate(zip(probs, mats)):
         for y, e in enumerate(m.elements):
             joint[x, y] = p * max(np.trace(e @ mat).real, 0.0)
     return joint / joint.sum()
@@ -124,7 +125,7 @@ def _povm_elements(x: np.ndarray, outcomes: int, d: int):
     return inv_sqrt @ raw @ inv_sqrt, (a, raw, vals, vecs, inv_sqrt)
 
 
-def _accessible_info_objective(ensemble, outcomes: int):
+def _accessible_info_objective(probs: np.ndarray, rhos: np.ndarray, outcomes: int):
     """neg(x) -> (-I(X;Y), -gradient) for the POVM that `_povm_elements`
     builds from x, with the exact gradient.
 
@@ -134,9 +135,6 @@ def _accessible_info_objective(ensemble, outcomes: int):
     derivative of S^{-1/2}: in the eigenbasis of S it multiplies entry ij by
     (l_i^{-1/2} - l_j^{-1/2}) / (l_i - l_j), which is -l_i^{-3/2}/2 on the
     diagonal (Daleckii-Krein).  The gradient in A_y is 2 A_y W_y."""
-    probs = np.array([p for p, _ in ensemble], dtype=float)
-    rhos = np.stack([r.matrix if isinstance(r, DensityOperator) else np.asarray(r, dtype=complex)
-                     for _, r in ensemble])
     weighted = probs[:, None, None] * rhos
     weighted /= np.trace(weighted, axis1=1, axis2=2).real.sum()
     d = rhos.shape[-1]
@@ -176,17 +174,17 @@ def optimize_accessible_info(ensemble, outcomes: int, restarts: int = 20,
     and validated."""
     if outcomes < 2:
         raise ValueError("need at least two outcomes")
-    d = (ensemble[0][1].matrix if isinstance(ensemble[0][1], DensityOperator)
-         else np.asarray(ensemble[0][1])).shape[0]
+    probs, rhos = _ensemble(ensemble)
+    d = rhos.shape[-1]
     npar = 2 * outcomes * d * d
-    best_val, best_x, _, _ = _ascend(_accessible_info_objective(ensemble, outcomes),
+    best_val, best_x, _, _ = _ascend(_accessible_info_objective(probs, rhos, outcomes),
                                      lambda rng: rng.standard_normal(npar), restarts, seed,
                                      {"maxiter": 2000, "ftol": 1e-13})
     els = list(_povm_elements(best_x, outcomes, d)[0])
     # symmetrize away roundoff so the POVM validator is happy
     els[0] = els[0] + (np.eye(d) - sum(els))
     povm = POVM(tuple((e + dagger(e)) / 2 for e in els))
-    chi = holevo_chi(ensemble)
+    chi = _holevo_chi(probs, rhos)
     return AccessibleInfoResult(best_val, povm, chi - best_val, restarts)
 
 

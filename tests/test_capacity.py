@@ -5,6 +5,7 @@ from qshannon import capacity as cap
 from qshannon import channels as ch
 from qshannon import measure as mea
 from qshannon._rng import stream
+from qshannon.entropy import _ensemble
 from qshannon.linalg import SubsystemLayout, dagger, haar_isometry, random_mixed_state
 
 
@@ -498,7 +499,7 @@ def accessible_info_loop(ensemble, outcomes, restarts, seed):
     from scipy.optimize import minimize
 
     d = ensemble[0][1].dim
-    neg = mea._accessible_info_objective(ensemble, outcomes)
+    neg = mea._accessible_info_objective(*_ensemble(ensemble), outcomes)
     best_val, best_x = -np.inf, None
     for r in range(restarts):
         x0 = stream(seed, r).standard_normal(2 * outcomes * d * d)

@@ -72,6 +72,17 @@ class TestEntropyCommand:
         assert json.loads(out)["results"]["von_neumann_entropy"] == pytest.approx(
             0.60088, abs=1e-4)
 
+    @pytest.mark.parametrize("params,key", [
+        ({"state": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}, "von_neumann_entropy"),
+        ({"probs": [1.0, 0.0]}, "shannon_entropy"),
+    ], ids=["pure_state", "deterministic_probs"])
+    def test_zero_entropy_prints_plus_zero(self, tmp_path, capsys, params, key):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"command": "entropy", **params}))
+        code, out = run(["--config", str(cfg)], capsys)
+        assert code == 0
+        assert f'"{key}": 0.0\n' in out
+
     def test_csv_format(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"command": "entropy", "probs": [0.25, 0.75]}))

@@ -347,6 +347,19 @@ def test_qr_only_in_linalg():
     assert calls == {"linalg.py"}
 
 
+def test_density_operator_coerced_only_in_linalg():
+    """One checked boundary for states: no module but linalg tests
+    isinstance(x, DensityOperator); the others take bare arrays through
+    linalg._state_matrix."""
+    found = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                    and "DensityOperator" in ast.unparse(node.args[1])):
+                found.add(path.stem)
+    assert found == {"linalg"}
+
+
 def callers(name):
     """(module, top-level function or class) of every call of `name` in the
     package."""
@@ -500,14 +513,22 @@ def test_information_gain_equals_loop(d, trials, chunk_entries):
     assert rep.mc_stderr_nats == float(cond.std(ddof=1) / math.sqrt(trials))
 
 
-def test_row_entropies_drop_small_entries_as_the_loop_does():
+@pytest.mark.parametrize("n", range(1, 17))
+def test_row_entropies_drop_small_entries_as_the_loop_does(n):
+    """Below 8 entries the masked sum, from 8 the per-row recompute, each
+    equal to the sum of the row's kept entries; an all-dropped row is +0.0."""
     from qshannon.entropy import row_entropies
-    rng = stream(43, 0)
-    p = rng.random((6, 11))
-    p[1, 3] = 0.0
-    p[4, :5] = 1e-20
-    p[5] = 0.0
+    rng = stream(43, n)
+    p = rng.random((40, n))
+    p[rng.random((40, n)) < 0.3] = 0.0
+    p[1, : (n + 1) // 2] = 1e-20
+    p[2] = 0.0
+    p[3] = 1e-20
+    p[4] = rng.random(n)
     got = row_entropies(p, 1e-14, np.log2)
     for row, val in zip(p, got):
         nz = row[row > 1e-14]
         assert same(val, -np.sum(nz * np.log2(nz)))
+    assert not np.signbit(got).any()
+    assert same(row_entropies(p[2], 1e-14, np.log2), 0.0)
+    assert same(row_entropies(p.reshape(5, 8, n), 1e-14, np.log2), got.reshape(5, 8))

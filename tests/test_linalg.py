@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_pure, random_state
 from qshannon import channels as ch
 from qshannon import decoupling as dec
+from qshannon import measure as mea
 from qshannon._rng import stream
-from qshannon.entropy import conditional_mutual_quantum, gibbs_free_energy
+from qshannon.entropy import (conditional_mutual_quantum, gibbs_free_energy, holevo_chi,
+                              relative_entropy_quantum, von_neumann_entropy)
 from qshannon.linalg import (
     DensityOperator,
     LayoutError,
@@ -248,15 +250,22 @@ def checks(monkeypatch):
     return counts
 
 
+MIXED = np.eye(2) / 2
+Z_BASIS = mea.POVM((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+
+
 def derived_calls():
     """Calls on validated inputs that only derive states and channels."""
     rho = random_state((2, 3, 2), "ABC", 89)
     psi_ra = random_pure((4, 2), ("R", "A"), 97)
     qubit = random_state((2,), "A", 107)
+    ensemble = [(0.25, qubit), (0.75, random_state((2,), "A", 151))]
     ad, dep = ch.amplitude_damping(0.3), ch.depolarizing(0.1)
     trial_set = dec.DecouplingTrialSet(dec.random_sigma_ae(4, 2, stream(101, 0)), (2, 2), 5, 103)
     return {
         "conditional_mutual_quantum": lambda: conditional_mutual_quantum(rho),
+        "holevo_chi": lambda: holevo_chi(ensemble),
+        "accessible_info": lambda: mea.accessible_info(ensemble, Z_BASIS),
         "decoupling_experiment": lambda: dec.decoupling_experiment(trial_set),
         "projected_decoupling_experiment":
             lambda: dec.projected_decoupling_experiment(psi_ra, ad, 2, 5, 109),
@@ -267,14 +276,50 @@ def derived_calls():
     }
 
 
-@pytest.mark.parametrize("name", ["conditional_mutual_quantum", "decoupling_experiment",
-                                  "projected_decoupling_experiment", "partial_trace", "apply",
-                                  "compose", "complementary"])
+@pytest.mark.parametrize("name", ["conditional_mutual_quantum", "holevo_chi", "accessible_info",
+                                  "decoupling_experiment", "projected_decoupling_experiment",
+                                  "partial_trace", "apply", "compose", "complementary"])
 def test_derived_results_are_not_checked_again(name, checks):
     call = derived_calls()[name]
     checks.clear()
     call()
     assert dict(checks) == {}
+
+
+def test_bare_ensemble_members_are_checked_once(checks):
+    """optimize_accessible_info checks each bare member once, for its
+    objective and its Holevo bound together, and never the average state."""
+    ensemble = [(0.5, random_state((2,), "A", s).matrix) for s in (157, 163)]
+    checks.clear()
+    mea.optimize_accessible_info(ensemble, 2, restarts=1)
+    assert dict(checks) == {"SubsystemLayout": 2, "DensityOperator": 2}
+
+
+BARE_ENTRY_POINTS = {
+    "von_neumann_entropy": von_neumann_entropy,
+    "relative_entropy_quantum_rho": lambda m: relative_entropy_quantum(m, MIXED),
+    "relative_entropy_quantum_sigma": lambda m: relative_entropy_quantum(MIXED, m),
+    "holevo_chi": lambda m: holevo_chi([(0.5, MIXED), (0.5, m)]),
+    "measure": lambda m: mea.measure(m, Z_BASIS),
+    "outcome_joint": lambda m: mea.outcome_joint([(0.5, MIXED), (0.5, m)], Z_BASIS),
+    "accessible_info": lambda m: mea.accessible_info([(0.5, MIXED), (0.5, m)], Z_BASIS),
+    "optimize_accessible_info":
+        lambda m: mea.optimize_accessible_info([(0.5, MIXED), (0.5, m)], 2, restarts=1),
+    "fidelity_pure": lambda m: fidelity_pure(np.array([1.0, 0.0]), m),
+    "cq_channel": lambda m: ch.cq_channel(np.eye(2), [m, MIXED]),
+}
+
+
+@pytest.mark.parametrize("m,word", [
+    ([[1.0, 5.0], [0.0, 0.0]], "not Hermitian"),
+    ([[0.7, 0.0], [0.0, 0.7]], "trace"),
+], ids=["non_hermitian", "trace"])
+@pytest.mark.parametrize("entry", BARE_ENTRY_POINTS)
+def test_bare_array_states_are_checked_at_every_entry(entry, m, word):
+    """A bare-array state is checked as a density operator wherever it enters;
+    eigvalsh would read one triangle of [[1, 5], [0, 0]] and call it pure."""
+    with pytest.raises(ValueError, match=word):
+        BARE_ENTRY_POINTS[entry](np.array(m))
 
 
 def test_derived_results_pass_the_checks_they_skip():

@@ -7,7 +7,7 @@ import pytest
 from conftest import random_state
 from qshannon._rng import stream
 from qshannon import measure as mea
-from qshannon.entropy import holevo_chi
+from qshannon.entropy import _ensemble, holevo_chi
 from qshannon.linalg import (dagger, density_from_matrix, haar_random_unitary, maximally_mixed,
                              qubits)
 
@@ -165,7 +165,7 @@ class TestAccessibleInfoObjective:
     @pytest.mark.parametrize("d,outcomes,members,seed", ENSEMBLE_CASES)
     def test_gradient_matches_central_differences(self, d, outcomes, members, seed):
         ensemble = random_ensemble(d, members, seed)
-        neg = mea._accessible_info_objective(ensemble, outcomes)
+        neg = mea._accessible_info_objective(*_ensemble(ensemble), outcomes)
         x = stream(seed, 99).standard_normal(2 * outcomes * d * d)
         _, grad = neg(x)
         h = 1e-6
@@ -176,7 +176,7 @@ class TestAccessibleInfoObjective:
     @pytest.mark.parametrize("d,outcomes,members,seed", ENSEMBLE_CASES)
     def test_value_matches_povm_oracle(self, d, outcomes, members, seed):
         ensemble = random_ensemble(d, members, seed)
-        neg = mea._accessible_info_objective(ensemble, outcomes)
+        neg = mea._accessible_info_objective(*_ensemble(ensemble), outcomes)
         for r in range(3):
             x = stream(seed, 100 + r).standard_normal(2 * outcomes * d * d)
             assert -neg(x)[0] == pytest.approx(oracle_accessible_info(ensemble, outcomes, x),
