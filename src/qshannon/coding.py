@@ -7,12 +7,14 @@ Exhaustive quantities are computed exactly over sequence type classes
 quantum-compression numbers exact far beyond naive enumeration.  Every type
 of a block is one row of an int array (`_type_table`), whose per-letter
 rates are computed for all rows at once, adding the terms letter by letter
-as a scalar loop would; class sizes stay exact Python ints.  The Schumacher
-fidelity and Ky Fan bound never enumerate sequences: they sum over type
-classes, with one array dynamic program over partial count vectors
-(`_count_sums`) for all letter types at once, so their cost is polynomial
-in the block length n.  Hard enumeration caps trigger clear errors instead
-of silent sampling.
+as a scalar loop would; class sizes stay exact Python ints.  The census and
+the Schumacher subspace share one routine, `_typical_set`: the subspace is
+the typical set of rho's spectrum, kept as types and eigenvectors, and
+nothing of size d^n is built.  The Schumacher fidelity and Ky Fan bound
+never enumerate sequences: they sum over type classes, with one array
+dynamic program over partial count vectors (`_count_sums`) for all letter
+types at once, so their cost is polynomial in the block length n.  Hard
+enumeration caps trigger clear errors instead of silent sampling.
 
 The Monte Carlo simulators draw trial t from `keyed_stream(seed, t)`, the
 numbers `stream(seed, t)` gives, and do the per-trial decoding as array
@@ -84,13 +86,16 @@ def sequence_log_prob(x: Sequence[int], p) -> float:
     return float(sum(logp[letter] for letter in x))
 
 
+def _within(rates, h: float, delta: float):
+    """The typicality window on per-letter rates: h - delta <= rate <= h + delta."""
+    return (h - delta <= rates) & (rates <= h + delta)
+
+
 def is_typical(x: Sequence[int], p, spec: TypicalitySpec) -> bool:
     """Two-sided check on the empirical per-letter information rate:
     H - delta <= -(1/n) log2 p(x) <= H + delta."""
-    n = len(x)
-    h = shannon_entropy(p)
-    rate = -sequence_log_prob(x, p) / n     # inf on a zero-probability letter
-    return h - spec.delta <= rate <= h + spec.delta
+    rate = -sequence_log_prob(x, p) / len(x)     # inf on a zero-probability letter
+    return _within(rate, shannon_entropy(p), spec.delta)
 
 
 def _type_table(n: int, d: int) -> np.ndarray:
@@ -131,15 +136,22 @@ def _type_rates(types: np.ndarray, logp: np.ndarray, n: int) -> np.ndarray:
     return rates
 
 
-def _typical_classes(n: int, logp: np.ndarray, h: float, delta: float):
-    """The letter types of length-n sequences whose rate lies within delta
-    of h, in lexicographic order: their counts (tuples), the log2
-    probability of one sequence of the type, and the class sizes (ints)."""
-    types = _type_table(n, logp.size)
-    rates = _type_rates(types, logp, n)
-    keep = (h - delta <= rates) & (rates <= h + delta)
-    counts = [tuple(c) for c in types[keep].tolist()]
-    return counts, -rates[keep] * n, _multinomials(types[keep])
+def _typical_set(p: np.ndarray, spec: TypicalitySpec, floor: float):
+    """The delta-typical length-n sequences of the law p, by type: H(p), the
+    typical types in lexicographic order as (counts, log2 probability of one
+    sequence of the type) pairs, the exact number of typical sequences and
+    their total probability, clipped at 1.  A letter of probability at most
+    floor is impossible."""
+    h = shannon_entropy(p)
+    types = _type_table(spec.n, p.size)
+    rates = _type_rates(types, _log2s(p, floor), spec.n)
+    keep = _within(rates, h, spec.delta)
+    kept, lgs = types[keep], -rates[keep] * spec.n
+    count, prob = 0, 0.0
+    for m, lg in zip(_multinomials(kept), lgs):
+        count += m
+        prob += m * 2.0 ** lg
+    return h, list(zip(map(tuple, kept.tolist()), lgs)), count, min(prob, 1.0)
 
 
 @dataclass(frozen=True)
@@ -154,18 +166,11 @@ class CensusReport:
 def typical_set_census(p, spec: TypicalitySpec) -> CensusReport:
     """Exact size and probability of the typical set, via type classes."""
     p = validate_prob_dist(p)
-    d = p.size
-    if d ** spec.n > CENSUS_CAP:
+    if p.size ** spec.n > CENSUS_CAP:
         raise EnumerationCapError(
-            f"{d}^{spec.n} sequences exceeds the census cap {CENSUS_CAP}")
-    h = shannon_entropy(p)
-    logp = _log2s(p, 0.0)
-    count = 0
-    prob = 0.0
-    for _, lg, m in zip(*_typical_classes(spec.n, logp, h, spec.delta)):
-        count += m
-        prob += m * 2.0 ** lg
-    return CensusReport(count, min(prob, 1.0), spec.n, spec.delta, h)
+            f"{p.size}^{spec.n} sequences exceeds the census cap {CENSUS_CAP}")
+    h, _, count, prob = _typical_set(p, spec, 0.0)
+    return CensusReport(count, prob, spec.n, spec.delta, h)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +211,7 @@ def slepian_wolf_sim(pxy, n: int, rate: float, trials: int, seed: int,
     never = ~np.isfinite(log_cond).reshape(-1)   # cells the decoder never chooses
 
     def typical(counts: np.ndarray, logp: np.ndarray, h: float) -> np.ndarray:
-        rates = _type_rates(counts, logp, n)
-        return (h - delta <= rates) & (rates <= h + delta)
+        return _within(_type_rates(counts, logp, n), h, delta)
 
     columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -334,63 +338,34 @@ def bsc_random_code_sim(p: float, n: int, rate: float, trials: int, seed: int) -
 # quantum source compression
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class TypicalSubspace:
+    """Whole type classes of product eigenvectors of rho^(tensor n): the kept
+    eigen-index types with the log2 eigenvalue product of one member, the
+    dimension and the weight tr(P rho^(tensor n))."""
     dim: int
     weight: float
     typical_types: list[tuple[tuple[int, ...], float]]  # (eigen-index counts, log2 prob/letter-seq)
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     n: int
-    projector: Optional[np.ndarray] = None
 
 
-def schumacher_projector(rho: DensityOperator, spec: TypicalitySpec,
-                         materialize_cap: int = 2 ** 12) -> TypicalSubspace:
-    """Projector data for the delta-typical subspace of rho^(tensor n).
-
-    The subspace is spanned by product eigenvectors whose eigenvalue product
-    lies in [2^{-n(H+delta)}, 2^{-n(H-delta)}]; membership depends only on
-    the type of the eigen-index sequence."""
+def schumacher_projector(rho: DensityOperator, spec: TypicalitySpec) -> TypicalSubspace:
+    """The delta-typical subspace of rho^(tensor n): the typical set of rho's
+    spectrum.  It is spanned by the product eigenvectors whose eigenvalue
+    product lies in [2^{-n(H+delta)}, 2^{-n(H-delta)}]; membership depends
+    only on the type of the eigen-index sequence, so the subspace is kept as
+    its typical types and rho's eigenvectors, and no d^n x d^n projector is
+    built."""
     d = rho.dim
     if d ** spec.n > QUANTUM_CAP:
         raise EnumerationCapError(
             f"{d}^{spec.n} exceeds the quantum enumeration cap {QUANTUM_CAP}")
     vals, vecs = eig_hermitian(rho.matrix)
     vals = np.clip(vals, 0.0, None)
-    h = shannon_entropy(vals)
-    logp = _log2s(vals, 1e-300)
-    typical = []
-    dim = 0
-    weight = 0.0
-    for counts, lg, m in zip(*_typical_classes(spec.n, logp, h, spec.delta)):
-        typical.append((counts, lg))
-        dim += m
-        weight += m * 2.0 ** lg
-    sub = TypicalSubspace(dim, min(weight, 1.0), typical, vals, vecs, spec.n)
-    if d ** spec.n <= materialize_cap:
-        sub.projector = _materialize_projector(sub, d)
-    return sub
-
-
-def _typical_mask(sub: TypicalSubspace, d: int) -> np.ndarray:
-    """Boolean mask over all d^n eigen-index sequences, True when typical."""
-    digits = (np.arange(d ** sub.n)[:, None] // d ** np.arange(sub.n)) % d
-    counts = (digits[:, :, None] == np.arange(d)).sum(axis=1)  # letter counts per sequence
-    types, inverse = np.unique(counts, axis=0, return_inverse=True)
-    typical_types = {t for t, _ in sub.typical_types}
-    is_typical_type = np.array([tuple(t) in typical_types for t in types.tolist()])
-    return is_typical_type[inverse.reshape(-1)]
-
-
-def _materialize_projector(sub: TypicalSubspace, d: int) -> np.ndarray:
-    mask = _typical_mask(sub, d)
-    u = sub.eigenvectors
-    big_u = u
-    for _ in range(sub.n - 1):
-        big_u = np.kron(big_u, u)
-    cols = big_u[:, mask]
-    return cols @ cols.conj().T
+    _, typical, dim, weight = _typical_set(vals, spec, 1e-300)
+    return TypicalSubspace(dim, weight, typical, vals, vecs, spec.n)
 
 
 def _rank_limited_subspace(rho: DensityOperator, n: int,
@@ -504,7 +479,7 @@ def schumacher_sim(ensemble, n: int, spec: Optional[TypicalitySpec] = None,
 
     ky_fan = None
     if spec is not None:
-        sub = schumacher_projector(rho, spec, materialize_cap=0)
+        sub = schumacher_projector(rho, spec)
     elif rate is not None:
         max_dim = max(int(math.floor(2.0 ** (n * rate))), 1)
         sub, ky_fan = _rank_limited_subspace(rho, n, max_dim)

@@ -36,10 +36,9 @@ from .linalg import (
     SubsystemLayout,
     dagger,
     haar_isometries,
-    haar_random_pure,
     haar_states,
     partial_trace,
-    partial_trace_pure,
+    random_mixed_state,
 )
 
 DIM_GUARD = 2 ** 10
@@ -393,10 +392,9 @@ def random_subsystem_entropy(d1: int, d2: int, trials: int, seed: int) -> Subsys
 # corpus generator for randomized inequality checks
 # ---------------------------------------------------------------------------
 
-def random_sigma_ae(d_a: int, d_e: int, seed_or_rng, purifier_dims=(1, 2, 4)) -> DensityOperator:
+def random_sigma_ae(d_a: int, d_e: int, seed_or_rng) -> DensityOperator:
     """sigma_AE drawn by tracing a Haar pure state on A x E x F with a random
-    purifier dimension |F|, covering both pure and mixed regimes."""
+    purifier dimension |F| in (1, 2, 4), covering both pure and mixed regimes."""
     rng = as_generator(seed_or_rng)
-    d_f = int(rng.choice(purifier_dims))
-    lay = SubsystemLayout((d_a, d_e, d_f), ("A", "E", "F"))
-    return partial_trace_pure(haar_random_pure(lay, rng), ["A", "E"])
+    return random_mixed_state(SubsystemLayout((d_a, d_e), ("A", "E")), rng,
+                              env_dim=int(rng.choice((1, 2, 4))))

@@ -437,13 +437,11 @@ def check_decoupling(instances: int = 200, trials: int = 30) -> CheckResult:
             failures += 1
     mom = dec.expected_M_check(2, 2, trials=10_000, seed=421)
     tol = 5 / math.sqrt(10_000)
-    # least-squares projection of the empirical mean onto span{I, SWAP}
-    s = dec._partial_swap(1, 4)
-    gram = np.array([[16.0, np.trace(s).real], [np.trace(s).real, 16.0]])
-    rhs = np.array([np.trace(mom.empirical_mean).real,
-                    np.trace(mom.empirical_mean @ s).real])
-    ci_fit, cs_fit = np.linalg.solve(gram, rhs)
-    mom_ok = (abs(ci_fit - 0.4) <= tol and abs(cs_fit - 0.4) <= tol
+    # the projection of the mean onto span{I, SWAP}, read from its weights on
+    # the orthogonal projectors P_sym = (I + S) / 2 and P_anti = (I - S) / 2
+    ci_fit = (mom.c_sym_fit + mom.c_anti_fit) / 2
+    cs_fit = (mom.c_sym_fit - mom.c_anti_fit) / 2
+    mom_ok = (abs(ci_fit - mom.c_i) <= tol and abs(cs_fit - mom.c_s) <= tol
               and abs(mom.c_anti_fit) <= 1e-10)
     ok = failures == 0 and mom_ok
     return CheckResult("decoupling", ok, {

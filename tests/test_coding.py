@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -454,7 +456,7 @@ class TestTypeTablesMatchLoops:
         rho = density_from_matrix((u * vals) @ u.conj().T)
         n = int(rng.integers(1, 7))
         spec = TypicalitySpec(n, float(rng.uniform(0.05, 1)))
-        sub = schumacher_projector(rho, spec, materialize_cap=0)
+        sub = schumacher_projector(rho, spec)
         assert (sub.typical_types, sub.dim, sub.weight) == _projector_loop(rho, spec)
         max_dim = int(rng.integers(1, d ** n + 2))
         sub, ky_fan = coding._rank_limited_subspace(rho, n, max_dim)
@@ -487,7 +489,7 @@ class TestTypeTablesMatchLoops:
         rho = density_from_matrix(sum(p * np.outer(v, v.conj()) for p, v in ensemble))
         if i % 2:
             kw = {"spec": TypicalitySpec(n, float(rng.uniform(0.05, 0.8)))}
-            sub = schumacher_projector(rho, kw["spec"], materialize_cap=0)
+            sub = schumacher_projector(rho, kw["spec"])
         else:
             kw = {"rate": float(rng.uniform(0.1, 1.0))}
             sub = coding._rank_limited_subspace(
@@ -519,21 +521,32 @@ class TestTrialCount:
             run(trials)
 
 
+def _dense_projector(sub):
+    """The subspace's d^n x d^n projector, built from every eigen-index
+    sequence: the sum of |v><v| over the product eigenvectors v whose index
+    sequence has a kept type."""
+    d = sub.eigenvectors.shape[0]
+    kept = {t for t, _ in sub.typical_types}
+    cols = [functools.reduce(np.kron, sub.eigenvectors[:, list(seq)].T)
+            for seq in itertools.product(range(d), repeat=sub.n)
+            if tuple(seq.count(a) for a in range(d)) in kept]
+    cols = np.array(cols, dtype=complex).reshape(-1, d ** sub.n).T
+    return cols @ cols.conj().T
+
+
 class TestSchumacherProjector:
     RHO = density_from_matrix(np.array([[0.75, 0.25], [0.25, 0.25]]))
 
     def test_projector_properties(self):
         sub = schumacher_projector(self.RHO, TypicalitySpec(3, 0.5))
-        p = sub.projector
-        assert p is not None
+        p = _dense_projector(sub)
         assert np.max(np.abs(p @ p - p)) < 1e-10                 # idempotent
         assert np.trace(p).real == pytest.approx(sub.dim)
 
     def test_weight_matches_projected_trace(self):
         sub = schumacher_projector(self.RHO, TypicalitySpec(3, 0.5))
-        rho3 = self.RHO.matrix
-        big = np.kron(np.kron(rho3, rho3), rho3)
-        assert np.trace(sub.projector @ big).real == pytest.approx(sub.weight)
+        big = functools.reduce(np.kron, [self.RHO.matrix] * 3)
+        assert np.trace(_dense_projector(sub) @ big).real == pytest.approx(sub.weight)
 
     def test_weight_grows_with_delta(self):
         w = [schumacher_projector(self.RHO, TypicalitySpec(3, d)).weight
@@ -545,21 +558,29 @@ class TestSchumacherProjector:
         with pytest.raises(EnumerationCapError):
             schumacher_projector(self.RHO, TypicalitySpec(20, 0.5))
 
+    def test_nothing_of_size_d_to_the_n_is_built(self):
+        # one 2^12 x 2^12 complex matrix would take 256 MiB
+        tracemalloc.start()
+        try:
+            sub = schumacher_projector(self.RHO, TypicalitySpec(12, 0.2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sub.dim > 0 and peak < 2 ** 20
+
     @pytest.mark.parametrize("spectrum, lengths", [
         ((0.8, 0.2), range(1, 9)),
         ((0.6, 0.3, 0.1), range(1, 6)),
     ])
     @pytest.mark.parametrize("delta", [0.1, 0.3, 0.6])
-    def test_typical_mask_matches_sequence_loop(self, spectrum, lengths, delta):
-        d = len(spectrum)
+    def test_sequence_loop_projector_has_dim_and_weight(self, spectrum, lengths, delta):
         rho = density_from_matrix(np.diag(spectrum).astype(complex))
         for n in lengths:
             sub = schumacher_projector(rho, TypicalitySpec(n, delta))
-            typical_types = {t for t, _ in sub.typical_types}
-            loop = np.array([tuple(seq.count(a) for a in range(d)) in typical_types
-                             for seq in itertools.product(range(d), repeat=n)])
-            mask = coding._typical_mask(sub, d)
-            assert mask.dtype == bool and np.array_equal(mask, loop)
+            p = _dense_projector(sub)
+            assert np.trace(p).real == pytest.approx(sub.dim, abs=1e-9)
+            big = functools.reduce(np.kron, [rho.matrix] * n)
+            assert np.trace(p @ big).real == pytest.approx(sub.weight, abs=1e-12)
 
 
 class TestSchumacherSim:
@@ -603,7 +624,7 @@ def _schumacher_by_enumeration(ensemble, n, spec=None, rate=None):
     vals = np.clip(vals, 0.0, None)
     ky_fan = None
     if spec is not None:
-        sub = schumacher_projector(rho, spec, materialize_cap=0)
+        sub = schumacher_projector(rho, spec)
         types, dim, weight = dict(sub.typical_types), sub.dim, sub.weight
     else:
         max_dim = max(int(math.floor(2.0 ** (n * rate))), 1)

@@ -382,6 +382,24 @@ def test_one_trial_loop():
                                        ("coding", "slepian_wolf_sim")}
 
 
+def test_one_typical_set():
+    """The census and the Schumacher subspace share one typical-set routine,
+    the typicality window h - delta <= rate <= h + delta is written once,
+    and no dense projector is built."""
+    assert callers("_typical_set") == {("coding", "typical_set_census"),
+                                       ("coding", "schumacher_projector")}
+    windows = set()
+    for top in ast.parse((SRC / "coding.py").read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(side, ast.BinOp) and "delta" in ast.unparse(side)
+                    for side in [node.left, *node.comparators]):
+                windows.add(top.name)
+    assert windows == {"_within"}
+    for gone in ("_typical_classes", "_typical_mask", "_materialize_projector"):
+        assert not hasattr(cod, gone)
+
+
 @pytest.mark.parametrize("np_int", [np.int64, np.uint64])
 def test_numpy_integer_seeds_draw_as_python_ints(np_int):
     """A numpy integer seed or index keys the same stream as the Python int."""
