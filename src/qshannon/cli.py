@@ -269,7 +269,9 @@ def run_decouple(config):
     da = d1 * d2
     if de > 1:
         from ._rng import stream
-        sigma = dec.random_sigma_ae(da, de, stream(config["seed"], 0))
+        # sigma_AE's own stream index: trial t draws from stream(seed, t), and
+        # no trial reaches it, so sigma is independent of every trial's U
+        sigma = dec.random_sigma_ae(da, de, stream(config["seed"], 2 ** 64 - 1))
     else:
         sigma = density_from_matrix(np.diag(np.eye(da)[0]))
     rep = dec.decoupling_experiment(dec.DecouplingTrialSet(

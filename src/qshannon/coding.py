@@ -151,7 +151,7 @@ def _typical_set(p: np.ndarray, spec: TypicalitySpec, floor: float):
     for m, lg in zip(_multinomials(kept), lgs):
         count += m
         prob += m * 2.0 ** lg
-    return h, list(zip(map(tuple, kept.tolist()), lgs)), count, min(prob, 1.0)
+    return h, list(zip(map(tuple, kept.tolist()), lgs)), count, min(float(prob), 1.0)
 
 
 @dataclass(frozen=True)
@@ -395,7 +395,7 @@ def _rank_limited_subspace(rho: DensityOperator, n: int,
         weight += m * 2.0 ** lg
     else:
         ky_fan = weight
-    return TypicalSubspace(dim, weight, chosen, vals, vecs, n), ky_fan
+    return TypicalSubspace(dim, float(weight), chosen, vals, vecs, n), float(ky_fan)
 
 
 def _count_sums(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

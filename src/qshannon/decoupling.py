@@ -135,14 +135,14 @@ def decoupling_experiment(t: DecouplingTrialSet) -> DecouplingReport:
 
 def _partial_swap(d1: int, d2: int, factor: int = 1) -> np.ndarray:
     """Swap of one tensor factor of A = A1 A2 between the copies (A, A'),
-    identity on the other: for factor 1 (A2), |a1 a2, b1 b2> -> |a1 b2, b1 a2>;
+    identity on the other, as the index permutation p of S x = x[p] (S is
+    np.eye(d * d)[p]): for factor 1 (A2), |a1 a2, b1 b2> -> |a1 b2, b1 a2>;
     for factor 0 (A1), |a1 a2, b1 b2> -> |b1 a2, a1 b2>.  The full SWAP on two
     copies of a d-dimensional space is _partial_swap(1, d)."""
     d = d1 * d2
     axes = [0, 1, 2, 3]
     axes[factor], axes[factor + 2] = factor + 2, factor
-    rows = np.eye(d * d).reshape(d1, d2, d1, d2, d * d)
-    return rows.transpose(*axes, 4).reshape(d * d, d * d)
+    return np.arange(d * d).reshape(d1, d2, d1, d2).transpose(axes).reshape(d * d)
 
 
 @dataclass
@@ -150,43 +150,38 @@ class MomentReport:
     empirical_mean: np.ndarray
     c_i: float
     c_s: float
-    c_sym_fit: float
-    c_anti_fit: float
     frobenius_residual: float
+    residual_mean_square: float     # its exact mean, (|A|^2 - ||M||_F^2) / trials
 
 
 def expected_M_check(d1: int, d2: int, trials: int, seed: int) -> MomentReport:
     """Empirical Haar mean of (U x U)† (I_{A1} x SWAP_{A2}) (U x U) against the
-    closed-form c_I I + c_S S decomposition, plus the fitted weights on the
-    symmetric/antisymmetric subspaces of the doubled system.  One trial is
-    enough (no standard error).  The loop is not `_rng.run_trials`: the mean
-    is a running sum over the trials in order, and that order fixes its bits."""
+    closed form M = c_I I + c_S S, at Frobenius distance frobenius_residual.
+    Each trial's operator, a unitary conjugate of a permutation, has squared
+    Frobenius norm |A|^2, so the residual's exact mean square is
+    (|A|^2 - ||M||_F^2) / trials.  One trial is enough (no standard error).
+    The loop is not `_rng.run_trials`: the mean is a running sum over the
+    trials in order, and that order fixes its bits."""
     d = d1 * d2
     if d > 16:
         raise ValueError("dimension guard: |A| <= 16")
     if trials < 1:
         raise ValueError(f"the Haar mean needs at least 1 trial, got {trials}")
-    op = _partial_swap(d1, d2)
+    p = _partial_swap(d1, d2)
     acc = np.zeros((d * d, d * d), dtype=complex)
     for a, b in trial_chunks(trials, d ** 4):
         u = haar_isometries(seed, a, b, d, d)
         # np.kron(u, u) of each trial, as one stacked product
         uu = (u[:, :, None, :, None] * u[:, None, :, None, :]).reshape(b - a, d * d, d * d)
-        # a reduction over the outer axis adds trial by trial, in the order of
-        # the one-trial loop
-        acc = np.add.reduce(np.concatenate([acc[None], dagger(uu) @ op @ uu]))
+        # X S is X[:, p], as S is its own inverse; a reduction over the outer
+        # axis adds trial by trial, in the order of the one-trial loop
+        acc = np.add.reduce(np.concatenate([acc[None], dagger(uu)[:, :, p] @ uu]))
     mean = acc / trials
 
     c_i, c_s, _, _ = moment_constants(d1, d2)
-    s = _partial_swap(1, d)
-    model = c_i * np.eye(d * d) + c_s * s
-
-    p_sym = (np.eye(d * d) + s) / 2
-    p_anti = (np.eye(d * d) - s) / 2
-    c_sym_fit = float(np.trace(mean @ p_sym).real / np.trace(p_sym).real)
-    c_anti_fit = float(np.trace(mean @ p_anti).real / np.trace(p_anti).real)
-    residual = float(np.linalg.norm(mean - model))
-    return MomentReport(mean, c_i, c_s, c_sym_fit, c_anti_fit, residual)
+    model = c_i * np.eye(d * d) + c_s * np.eye(d * d)[_partial_swap(1, d)]
+    return MomentReport(mean, c_i, c_s, float(np.linalg.norm(mean - model)),
+                        float(d * d - np.linalg.norm(model) ** 2) / trials)
 
 
 def moment_constants(d1: int, d2: int) -> tuple[float, float, float, float]:
@@ -204,8 +199,8 @@ def swap_trick_purity(rho: DensityOperator, keep: str) -> float:
     tr[(rho x rho)(I x SWAP_keep)]."""
     if len(rho.layout.labels) != 2:
         raise ValueError("need a two-factor layout")
-    op = _partial_swap(*rho.layout.dims, rho.layout.index(keep))
-    return float(np.trace(op @ np.kron(rho.matrix, rho.matrix)).real)
+    p = _partial_swap(*rho.layout.dims, rho.layout.index(keep))
+    return float(np.trace(np.kron(rho.matrix, rho.matrix)[p]).real)
 
 
 # ---------------------------------------------------------------------------

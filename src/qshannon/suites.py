@@ -80,7 +80,7 @@ def check_compression_golden() -> CheckResult:
           and _close(rep.fidelity, 0.9234, 1e-4)
           and _close(h, 0.60088, 1e-5))
     return CheckResult("compression_golden", ok, {
-        "eigenvalues": (round(vals[0], 6), round(vals[1], 6)),
+        "eigenvalues": tuple(round(x, 6) for x in vals.tolist()),
         "weight": round(sub.weight, 6),
         "fidelity": round(rep.fidelity, 6),
         "entropy": round(h, 6)})
@@ -125,7 +125,7 @@ def peres_wootters_values() -> tuple[bool, dict]:
           and _close(p_corr, 0.971405, 1e-5)
           and _close(p_err, 0.0142977, 1e-5)
           and _close(i_xy, 1.369068, 1e-5))
-    return ok, {"eigenvalues": list(vals[:3]), "entropy": h,
+    return ok, {"eigenvalues": vals[:3].tolist(), "entropy": h,
                 "p_correct": p_corr, "p_error": p_err, "mutual_info": i_xy}
 
 
@@ -435,18 +435,13 @@ def check_decoupling(instances: int = 200, trials: int = 30) -> CheckResult:
             dec.DecouplingTrialSet(sigma, (d1, d2), trials, int(rng.integers(2 ** 31))))
         if not rep.satisfied():
             failures += 1
-    mom = dec.expected_M_check(2, 2, trials=10_000, seed=421)
-    tol = 5 / math.sqrt(10_000)
-    # the projection of the mean onto span{I, SWAP}, read from its weights on
-    # the orthogonal projectors P_sym = (I + S) / 2 and P_anti = (I - S) / 2
-    ci_fit = (mom.c_sym_fit + mom.c_anti_fit) / 2
-    cs_fit = (mom.c_sym_fit - mom.c_anti_fit) / 2
-    mom_ok = (abs(ci_fit - mom.c_i) <= tol and abs(cs_fit - mom.c_s) <= tol
-              and abs(mom.c_anti_fit) <= 1e-10)
-    ok = failures == 0 and mom_ok
-    return CheckResult("decoupling", ok, {
-        "instance_failures": failures, "c_i_fit": round(float(ci_fit), 4),
-        "c_s_fit": round(float(cs_fit), 4), "c_anti_fit": mom.c_anti_fit})
+    # the squared residual over its exact mean: 0.63 to 1.50 over 80 seeds,
+    # and 3.8 to 6.1 for a QR without fixed phases
+    mom = dec.expected_M_check(2, 2, trials=40_000, seed=421)
+    ratio = mom.frobenius_residual ** 2 / mom.residual_mean_square
+    return CheckResult("decoupling", failures == 0 and ratio <= 3.0, {
+        "instance_failures": failures, "moment_residual": round(mom.frobenius_residual, 6),
+        "residual_ratio": round(ratio, 4)})
 
 
 def check_black_hole(trials: int = 300) -> CheckResult:

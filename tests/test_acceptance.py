@@ -11,6 +11,9 @@ def _run(check):
     result = check()
     print(result.line())
     assert result.passed, result.line()
+    # the battery runs every check of `qshannon suite --name all`, whose
+    # lines print plain numbers, not numpy reprs
+    assert "np.float64(" not in result.line()
     return result
 
 

@@ -190,6 +190,37 @@ class TestDecoupleCommand:
     def test_missing_dims_is_usage_error(self, capsys):
         assert cli.main(["decouple"]) == 2
 
+    def test_sigma_shares_no_draw_with_trial_zero(self, tmp_path, capsys, monkeypatch):
+        import copy
+
+        import numpy as np
+
+        from qshannon import decoupling as dec
+        from qshannon._rng import normal_pairs
+
+        states = []
+        draw = dec.random_sigma_ae
+
+        def recording(d_a, d_e, rng):
+            states.append(copy.deepcopy(rng.bit_generator.state))
+            return draw(d_a, d_e, rng)
+
+        monkeypatch.setattr(dec, "random_sigma_ae", recording)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"command": "decouple", "dims": {"A1": 2, "A2": 4},
+                                   "e_dim": 2, "seed": 7}))
+        for trials in ("2", "5"):
+            assert run(["--config", str(cfg), "--trials", trials], capsys)[0] in (0, 1)
+        # one sigma, whatever the trial count
+        first, second = (st["state"] for st in states)
+        assert all(np.array_equal(first[k], second[k]) for k in ("key", "counter"))
+        gen = np.random.Generator(np.random.Philox())
+        gen.bit_generator.state = states[0]
+        # a run of the sigma stream longer than sigma's draws, of every kind
+        sigma_draws = set(gen.standard_normal(4096)) | set(gen.random(4096))
+        re, im = normal_pairs(7, 0, 1, (8, 8))
+        assert sigma_draws.isdisjoint(re.ravel()) and sigma_draws.isdisjoint(im.ravel())
+
     @pytest.mark.parametrize("config", [
         {"command": "decouple", "dims": {"A1": 0, "A2": 2}},
         {"command": "decouple", "dims": {"A1": 2, "A2": -1}},

@@ -602,6 +602,14 @@ class TestSchumacherSim:
         assert rep.fidelity <= rep.ky_fan_bound + 1e-12
         assert rep.dim <= 2 ** 2
 
+    def test_type_sums_are_python_floats(self):
+        census = typical_set_census(np.array([0.75, 0.25]), TypicalitySpec(8, 0.2))
+        typical = schumacher_sim(self.ENSEMBLE, 3, spec=TypicalitySpec(3, 0.5))
+        limited = schumacher_sim(self.ENSEMBLE, 3, rate=2 / 3)
+        values = [census.total_prob, typical.weight, typical.lower_bound,
+                  limited.weight, limited.lower_bound, limited.ky_fan_bound]
+        assert all(type(v) is float for v in values)
+
     def test_rate_monotone_in_dimension(self):
         lo = schumacher_sim(self.ENSEMBLE, 3, rate=1 / 3)
         hi = schumacher_sim(self.ENSEMBLE, 3, rate=1.0)

@@ -97,8 +97,21 @@ class TestMoments:
     def test_empirical_mean_converges(self):
         rep = dec.expected_M_check(2, 2, trials=400, seed=13)
         assert rep.frobenius_residual < 0.5
-        assert rep.c_anti_fit == pytest.approx(0.0, abs=1e-12)
-        assert rep.c_sym_fit == pytest.approx((2 + 2) / (4 + 1), abs=1e-12)
+        # within three times the residual's exact root mean square
+        assert rep.frobenius_residual ** 2 <= 3 * rep.residual_mean_square
+
+    @pytest.mark.parametrize("d1,d2", [(2, 2), (2, 4), (3, 3)])
+    def test_residual_mean_square_is_exact(self, d1, d2):
+        reps = [dec.expected_M_check(d1, d2, 40, seed) for seed in range(60)]
+        ratios = np.array([r.frobenius_residual ** 2 / r.residual_mean_square for r in reps])
+        spread = 3 * ratios.std(ddof=1) / math.sqrt(ratios.size)
+        assert abs(ratios.mean() - 1) <= spread
+
+    def test_moment_check_fails_a_sampler_without_phase_fix(self, monkeypatch):
+        from qshannon import linalg, suites
+        assert suites.check_decoupling(instances=0).passed
+        monkeypatch.setattr(linalg, "_phase_fixed_qr", lambda z: np.linalg.qr(z)[0])
+        assert not suites.check_decoupling(instances=0).passed
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_no_trials_refused(self, trials):
@@ -109,6 +122,9 @@ class TestMoments:
         # the mean of one draw: no standard error is reported, so none is needed
         rep = dec.expected_M_check(2, 2, 1, 13)
         assert np.all(np.isfinite(rep.empirical_mean)) and rep.frobenius_residual > 0
+        # tr(X M) is the same for every trial's X, so one trial's squared
+        # residual is its mean square exactly
+        assert rep.frobenius_residual ** 2 == pytest.approx(rep.residual_mean_square)
 
     def test_swap_trick_matches_direct_purity(self):
         rho = random_mixed_state(SubsystemLayout((2, 3), ("A", "B")), stream(17, 0))
@@ -121,7 +137,8 @@ class TestMoments:
         rho = random_mixed_state(SubsystemLayout(dims, ("A", "B")), stream(17, 1))
         for factor, keep in enumerate(("A", "B")):
             op = loop_keep_swap(dims, factor == 0)
-            assert np.array_equal(dec._partial_swap(*dims, factor), op)
+            d = dims[0] * dims[1]
+            assert np.array_equal(np.eye(d * d)[dec._partial_swap(*dims, factor)], op)
             assert dec.swap_trick_purity(rho, keep) == float(
                 np.trace(op @ np.kron(rho.matrix, rho.matrix)).real)
 

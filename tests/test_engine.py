@@ -469,8 +469,9 @@ def test_moment_mean_equals_loop(d1, d2, trials, chunk_entries):
 
 @pytest.mark.parametrize("d1,d2", [(1, 1), (2, 2), (2, 3), (3, 2)])
 def test_permutation_operators_equal_loops(d1, d2):
-    assert same(dec._partial_swap(d1, d2), loop_partial_swap(d1, d2))
-    assert same(dec._partial_swap(1, d1 * d2), loop_swap(d1 * d2))
+    eye = np.eye((d1 * d2) ** 2)
+    assert same(eye[dec._partial_swap(d1, d2)], loop_partial_swap(d1, d2))
+    assert same(eye[dec._partial_swap(1, d1 * d2)], loop_swap(d1 * d2))
 
 
 @pytest.mark.parametrize("case", ["ad", "erasure", "rank2"])
