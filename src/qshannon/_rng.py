@@ -35,6 +35,10 @@ CHUNK_ENTRIES = 2 ** 12
 # below it a pool's start-up costs more than it saves
 SHARD_ENTRIES = 2 ** 18
 
+# a run is refused when one trial's largest stacked array has more complex
+# entries: at a peak of about 90 bytes an entry (old hole, n = 9-11), 1.4 GB
+MAX_ENTRIES = 2 ** 24
+
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 _CAN_SHARD = ("fork" in multiprocessing.get_all_start_methods()
              and hasattr(os, "sched_getaffinity"))
@@ -142,7 +146,7 @@ def run_trials(kernel, trials: int, entries: int, *args) -> np.ndarray:
     """The per-trial values of trials 0..trials-1, along the last axis.  One
     call kernel(*args, a, b) computes each `trial_chunks` chunk a..b-1, where
     `entries` is the kernel's largest stacked per-trial array, and the chunks
-    are joined in trial order.  Fewer than 2 trials are refused at once.
+    are joined in trial order.  `check_trials` and `check_entries` refuse first.
 
     When `shard_workers` gives more than one worker, [0, trials) is split
     into one contiguous range per worker, and each worker runs its range's
@@ -151,6 +155,7 @@ def run_trials(kernel, trials: int, entries: int, *args) -> np.ndarray:
     function; the pool lives only for this call.  Validate the arguments
     before calling: an exception raised in a worker is raised again here."""
     check_trials(trials)
+    check_entries(entries)
     workers = shard_workers(trials, entries)
     if workers == 1:
         return _run_range(kernel, args, entries, 0, trials)
@@ -164,6 +169,12 @@ def check_trials(trials: int) -> None:
     """Refuse a Monte Carlo run too small to give a sample standard error."""
     if trials < 2:
         raise ValueError(f"a Monte Carlo standard error needs at least 2 trials, got {trials}")
+
+
+def check_entries(entries: int) -> None:
+    """Refuse a run that needs an array of more than MAX_ENTRIES complex entries."""
+    if entries > MAX_ENTRIES:
+        raise ValueError(f"dimension guard: {entries} complex entries exceed the cap {MAX_ENTRIES}")
 
 
 def stderr(x: np.ndarray) -> float:

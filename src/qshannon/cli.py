@@ -1,7 +1,7 @@
 """Command-line front end: one experiment per invocation, reproducible from a
 JSON config plus flag overrides, with CSV or schema-validated JSON reports.
 
-Exit codes: 0 success, 1 a verification check failed, 2 usage error.
+Exit codes: 0 success, 1 a verification check failed, 2 usage error or no memory.
 """
 
 from __future__ import annotations
@@ -267,8 +267,9 @@ def run_decouple(config):
     if min(d1, d2, de) < 1:
         raise UsageError(f"decouple needs A1, A2 and e_dim >= 1, got {d1}, {d2}, {de}")
     da = d1 * d2
+    from ._rng import check_entries, stream
+    check_entries((da * de) ** 2)   # sigma_AE, before it is built
     if de > 1:
-        from ._rng import stream
         # sigma_AE's own stream index: trial t draws from stream(seed, t), and
         # no trial reaches it, so sigma is independent of every trial's U
         sigma = dec.random_sigma_ae(da, de, stream(config["seed"], 2 ** 64 - 1))
@@ -443,8 +444,8 @@ def main(argv=None) -> int:
     try:
         config = resolve(command, params, seed, trials, fmt)
         results, csv_rows, failed = HANDLERS[command](config)
-    except (UsageError, ValueError, KeyError, TypeError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (UsageError, ValueError, KeyError, TypeError, OverflowError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     wall = time.perf_counter() - start
 

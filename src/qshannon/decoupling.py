@@ -5,8 +5,11 @@ projected decoupling for channel codes, and the black-hole-mirror model.
 Trial t of every experiment draws from the (seed, t) random stream.  Each
 experiment but `expected_M_check` (a running sum over the trials in order)
 is a one-chunk kernel run by `_rng.run_trials`, which shards large trials
-(the old hole from n = 9 up, |A||E| >= 512).  A chunk's Haar isometries or
-states come from one stacked draw and one stacked QR
+(the old hole from n = 9 up, |A||E| >= 512) and refuses, before any draw,
+those over `_rng.MAX_ENTRIES` complex entries (the old hole from n = 13 up,
+|A||E| > 4096); `_rng.check_entries` refuses |A| > 64 in `expected_M_check`
+and |R||E| > 4096 before projected decoupling's setup.  A chunk's Haar
+isometries or states come from one stacked draw and one stacked QR
 (`linalg.haar_isometries`, `linalg.haar_states`), and the contractions,
 `eigvalsh` and entropies are stacked over the chunk.  Each trial's value is
 bit-identical to drawing it alone from stream(seed, t), whatever the chunk
@@ -28,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rng import as_generator, check_trials, run_trials, stderr, trial_chunks
+from ._rng import as_generator, check_entries, check_trials, run_trials, stderr, trial_chunks
 from .channels import KrausChannel, dilate
 from .entropy import row_entropies
 from .linalg import (
@@ -40,8 +43,6 @@ from .linalg import (
     partial_trace,
     random_mixed_state,
 )
-
-DIM_GUARD = 2 ** 10
 
 
 @dataclass(frozen=True)
@@ -110,17 +111,12 @@ def _decoupling_trials(m: np.ndarray, target: np.ndarray, split: tuple[int, int]
 
 def decoupling_experiment(t: DecouplingTrialSet) -> DecouplingReport:
     """Estimate E_U || sigma_{A2 E}(U) - I/|A2| x sigma_E ||_1 for Haar U on A.
-    Trials of |A||E| >= 512 are large enough to be sharded (`_rng.run_trials`)."""
+    Trials of |A||E| >= 512 are sharded, and of |A||E| > 4096 refused (`_rng.run_trials`)."""
     sigma = t.sigma_ae
     da = sigma.layout.dims[0]
     has_e = len(sigma.layout.dims) > 1
     de = sigma.layout.dims[1] if has_e else 1
-    if da * de > DIM_GUARD:
-        raise ValueError(f"total dimension {da * de} exceeds guard {DIM_GUARD}")
-    if has_e:
-        sigma_e = partial_trace(sigma, ["E"]).matrix
-    else:
-        sigma_e = np.array([[1.0]], dtype=complex)
+    sigma_e = partial_trace(sigma, ["E"]).matrix if has_e else np.ones((1, 1), complex)
     d2 = t.split[1]
     target = np.kron(np.eye(d2) / d2, sigma_e)
     vals = run_trials(_decoupling_trials, t.trials, (da * de) ** 2,
@@ -163,10 +159,11 @@ def expected_M_check(d1: int, d2: int, trials: int, seed: int) -> MomentReport:
     The loop is not `_rng.run_trials`: the mean is a running sum over the
     trials in order, and that order fixes its bits."""
     d = d1 * d2
-    if d > 16:
-        raise ValueError("dimension guard: |A| <= 16")
+    if min(d1, d2) < 1 or d < 2:
+        raise ValueError(f"need factors >= 1 and |A| >= 2, got ({d1}, {d2})")
     if trials < 1:
         raise ValueError(f"the Haar mean needs at least 1 trial, got {trials}")
+    check_entries(d ** 4)
     p = _partial_swap(d1, d2)
     acc = np.zeros((d * d, d * d), dtype=complex)
     for a, b in trial_chunks(trials, d ** 4):
@@ -233,8 +230,7 @@ def projected_decoupling_experiment(psi_ra, channel: KrausChannel, d_r2: int,
         raise ValueError("d_r2 must divide |R|")
     v_dil = dilate(channel)
     d_b, d_e = channel.dim_out, channel.env_dim
-    if d_r * d_b * d_e > 2 ** 12:
-        raise ValueError("dimension guard exceeded")
+    check_entries(max(d_r * d_b * d_e, (d_r * d_e) ** 2))     # phi and sigma_RE
     # |phi>_{R B E} = (I_R x V) |psi>_{R A}
     amps = psi_ra.amplitudes.reshape(d_r, channel.dim_in)
     phi = (amps @ v_dil.T).reshape(d_r, d_b, d_e)   # indices (r, b, e)
@@ -294,17 +290,11 @@ def _mirror_l1(iso: np.ndarray, k: int, kp: int) -> np.ndarray:
     return np.abs(evals - 1.0 / (d_rem * d_a)).sum(axis=-1)
 
 
-def _mirror_shape(n: int, k: int, kps: list[int], age: str) -> tuple[int, int]:
-    """(columns of each trial's Haar isometry, complex entries of the largest
-    per-trial array: the draw, or a margin's marginal on the kept qubits and A)."""
-    cols = 2 ** n if age == "old" else 2 ** k
-    return cols, max([2 ** n * cols] + [4 ** (n - kp + k) for kp in kps])
-
-
-def _mirror_trials(n: int, k: int, kps: list[int], age: str, seed: int,
+def _mirror_trials(n: int, k: int, kps: list[int], cols: int, seed: int,
                    a: int, b: int) -> np.ndarray:
-    """The run_trials kernel of black_hole_mirror_batch: one row per margin."""
-    iso = haar_isometries(seed, a, b, 2 ** n, _mirror_shape(n, k, kps, age)[0])
+    """The run_trials kernel of black_hole_mirror_batch, over isometries of
+    2^n rows and 2^cols columns: one row per margin."""
+    iso = haar_isometries(seed, a, b, 2 ** n, 2 ** cols)
     return np.array([_mirror_l1(iso, k, kp) for kp in kps]).reshape(len(kps), b - a)
 
 
@@ -312,20 +302,21 @@ def black_hole_mirror_batch(n: int, k: int, cs: Sequence[int], age: str,
                             trials: int, seed: int) -> list[MirrorReport]:
     """Mirror experiments for several emission margins c, sharing the Haar
     sample of each trial across margins (identical per-c results to separate
-    runs with the same seed, at a fraction of the cost).  Old-hole trials
-    from n = 9 up are large enough to be sharded (`_rng.run_trials`)."""
+    runs with the same seed, at a fraction of the cost).  Old-hole trials are
+    sharded from n = 9 up and refused from n = 13 up (`_rng.run_trials`)."""
     if n < 1 or k < 0:
         raise ValueError(f"need n >= 1 hole qubits and k >= 0 infalling qubits, got n={n}, k={k}")
     if any(c < 0 for c in cs):
         raise ValueError(f"emission margins c must be >= 0, got {list(cs)}")
-    if n + k > 15:
-        raise ValueError("state-vector guard: n + k <= 15 qubits")
     kps = [_emitted_count(n, k, c, age) for c in cs]
     for kp in kps:
         if kp > n:
             raise ValueError(f"cannot emit {kp} of {n} qubits")
-    _, entries = _mirror_shape(n, k, kps, age)
-    per_c = run_trials(_mirror_trials, trials, entries, n, k, kps, age, seed)
+    # log2 of a trial's isometry columns and largest array (the draw, or a marginal)
+    cols = n if age == "old" else k
+    bits = max([n + cols] + [2 * (n - kp + k) for kp in kps])
+    check_entries(2 ** min(bits, 64))   # so that an absurd n never forms 2^n
+    per_c = run_trials(_mirror_trials, trials, 2 ** bits, n, k, kps, cols, seed)
     reports = []
     for c, kp, vals in zip(cs, kps, per_c):
         mean = float(vals.mean())
@@ -376,8 +367,6 @@ def random_subsystem_entropy(d1: int, d2: int, trials: int, seed: int) -> Subsys
     """Mean entropy of the A2 share of a Haar-random pure state on A1 A2,
     against the near-maximal lower bound log2 d2 - d2 / (2 d1 ln 2) and
     Page's exact mean."""
-    if d1 * d2 > 2 ** 14:
-        raise ValueError("dimension guard: |A| <= 2^14")
     vals = run_trials(_subsystem_entropies, trials, d2 * max(d1, d2), d1, d2, seed)
     bound = math.log2(d2) - d2 / (2 * d1 * math.log(2)) if d2 > 1 else 0.0
     return SubsystemEntropyReport(float(vals.mean()), bound, stderr(vals), page_mean(d1, d2))
